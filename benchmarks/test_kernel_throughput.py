@@ -12,6 +12,8 @@ import pytest
 
 from repro.cell import SpePairSweep, build_spe_kernel, kernel_constants
 from repro.cell.kernels import OPT_LEVELS
+from repro.cluster.decomposition import DEFAULT_HALO_SKIN, SlabDecomposition
+from repro.cluster.forces import node_force_contribution
 from repro.md import MDConfig, compute_forces, compute_forces_27image
 from repro.md.lattice import cubic_lattice
 from repro.md.neighborlist import NeighborList, compute_forces_neighborlist
@@ -33,6 +35,34 @@ def test_bench_allpairs_float32(benchmark):
         compute_forces, POSITIONS, BOX, POTENTIAL, dtype=np.float32
     )
     assert result.interacting_pairs > 0
+
+
+#: The paper's headline size, where the shared pair kernel
+#: (``repro.md.forces.pair_block``) does nearly all the host work.
+PAPER_CONFIG = MDConfig(n_atoms=2048)
+PAPER_BOX = PAPER_CONFIG.make_box()
+PAPER_POSITIONS = cubic_lattice(PAPER_CONFIG.n_atoms, PAPER_BOX)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bench_allpairs_paper_size(benchmark, dtype):
+    result = benchmark(
+        compute_forces, PAPER_POSITIONS, PAPER_BOX, POTENTIAL, dtype=dtype
+    )
+    assert result.interacting_pairs > 0
+
+
+def test_bench_cluster_node_slice_k8(benchmark):
+    """One node of an 8-node slab decomposition at N=2048: owned rows
+    against owned + ghost columns."""
+    halo = POTENTIAL.rcut + DEFAULT_HALO_SKIN
+    plan = SlabDecomposition(PAPER_BOX, 8, halo).plan(PAPER_POSITIONS)
+    domain = plan.domains[0]
+    result = benchmark(
+        node_force_contribution, PAPER_POSITIONS, PAPER_BOX, POTENTIAL,
+        rows=domain.owned, cols=domain.local,
+    )
+    assert result.interacting > 0
 
 
 def test_bench_27image_search(benchmark):

@@ -22,6 +22,7 @@ import numpy as np
 from repro.md.box import PeriodicBox
 from repro.md.celllist import CellListForceBackend
 from repro.md.forces import (
+    _DEFAULT_BLOCK,
     ForceResult,
     compute_forces,
     compute_forces_27image,
@@ -147,7 +148,7 @@ def _reference(box, potential, dtype, **options):
 
 @register_backend("all-pairs")
 def _all_pairs(box, potential, dtype, **options):
-    block = int(options.pop("block", 256))
+    block = int(options.pop("block", _DEFAULT_BLOCK))
     if options:
         raise TypeError(f"'all-pairs' got unknown options {sorted(options)}")
 
@@ -200,16 +201,17 @@ def _cell(box, potential, dtype, **options):
 #
 # Declared here, consumed by Device.functional_backend: each backend's
 # scheduling options map to a dotted knob name the tuner may search.
-# None of these change the physics — block sizes only re-chunk the pair
-# scan (reordering float reductions within shape-band tolerance), and
-# skin/buffer/rebuild-delay only trade list rebuilds against extra
-# candidate pairs; every neighbor inside the cutoff is still found.
+# None of these change the physics.  The all-pairs result is bitwise
+# independent of md.block (27image sums its energy per block, so there
+# it can move the last bits), and skin/buffer/rebuild-delay only trade
+# list rebuilds against extra candidate pairs; every neighbor inside
+# the cutoff is still found.
 
 register_tunable(TunableSpec(
     name="md.block",
     backend="md",
     kind="int",
-    default=256,
+    default=_DEFAULT_BLOCK,
     candidates=(64, 128, 256, 512, 1024),
     low=16,
     high=8192,

@@ -7,15 +7,23 @@ contribute a force and a potential-energy term.  This module provides
 
 * :func:`compute_forces_reference` — straight nested Python loops,
   the executable specification, for small N and cross-checking;
-* :func:`compute_forces` — chunked, vectorized NumPy implementation
-  following the guides' idioms (row-blocked to bound working-set size,
-  in-place accumulation, no full N×N temporaries for large N);
+* :func:`compute_forces` — the vectorized all-pairs kernel, one
+  :func:`pair_block` over every row and column;
 * :func:`compute_forces_27image` — same physics with the minimum image
-  obtained by the explicit 27-image search the Cell kernel uses.
+  obtained by the explicit 27-image search the Cell kernel uses;
+* :func:`compute_pair_forces` — the explicit pair-array path of the
+  Verlet and cell-list backends.
 
 All of them return a :class:`ForceResult` carrying the accelerations,
 the potential energy and the interacting-pair count that the device
-cost models consume.
+cost models consume; the vectorized ones share the LJ arithmetic of
+:func:`_lj_terms`.
+
+:func:`pair_block` sums each row over its columns strictly in column
+order, and every column outside the cutoff adds an exact ``±0.0``.  So
+a row evaluated against any sorted superset of its cutoff partners —
+all atoms, or a cluster node's owned + ghost set — is bitwise the same
+whatever the block size (:mod:`repro.cluster.forces` relies on it).
 """
 
 from __future__ import annotations
@@ -35,10 +43,9 @@ __all__ = [
     "compute_pair_forces",
 ]
 
-#: Row-block size for the chunked kernel.  256 rows x 8192 cols x 3 dims of
-#: float64 is ~50 MB of transient working set, comfortably in-memory while
-#: keeping each BLAS-free NumPy op long enough to amortize dispatch.
-_DEFAULT_BLOCK = 256
+#: Row-block size of :func:`pair_block`, the ``md.block`` default: at
+#: N = 2048 each float64 ``(n_cols, block)`` pair array is 2 MB.
+_DEFAULT_BLOCK = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +96,128 @@ def _validate(positions: np.ndarray, box: PeriodicBox, potential: LennardJones) 
     return positions
 
 
+def _lj_terms(
+    r2: np.ndarray,
+    within: np.ndarray,
+    potential: LennardJones,
+    work: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``(f_over_r, pair_pe)`` in ``r2``'s dtype, exactly zero
+    outside ``within``; computed in ``work`` (four arrays like ``r2``)
+    if given.  Multiplying by the mask rounds as ``np.where(within, x,
+    0)`` does, because every masked ``x`` is finite."""
+    t = r2.dtype.type
+    if work is None:
+        work = tuple(np.empty_like(r2) for _ in range(4))
+    safe_r2, sr12, sr6, pair_pe = work
+    # r2 inside the cutoff; rcut2 for the rest, self pair and NaN alike.
+    np.fmin(r2, t(potential.rcut2), out=safe_r2)
+    inv_r2 = np.divide(t(potential.sigma * potential.sigma), safe_r2, out=sr12)
+    inv_r2 *= within
+    np.multiply(inv_r2, inv_r2, out=sr6)
+    sr6 *= inv_r2
+    np.multiply(sr6, sr6, out=sr12)
+    np.subtract(sr12, sr6, out=pair_pe)
+    pair_pe *= t(4.0 * potential.epsilon)
+    f_over_r = np.multiply(t(2.0), sr12, out=sr12)
+    f_over_r -= sr6
+    f_over_r *= t(24.0 * potential.epsilon)
+    inv_safe_r2 = np.divide(t(1.0), safe_r2, out=safe_r2)
+    inv_safe_r2 *= within
+    f_over_r *= inv_safe_r2
+    pair_pe -= np.multiply(within, t(potential.shift_energy), out=sr6)
+    return f_over_r, pair_pe
+
+
+def _ordered_column_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum a C-contiguous ``(n_cols, width)`` array over axis 0, adding
+    row ``j`` into the running result in ``j`` order.
+
+    For width >= 2 NumPy's axis-0 ``sum`` does exactly that: NumPy
+    behaviour, not a documented guarantee, so the reduction-order canary
+    test checks it.  At width 1 NumPy sums the contiguous vector
+    pairwise, so that case takes ``np.add.accumulate``, sequential by
+    definition but several times slower.
+    """
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return terms.sum(axis=0)
+
+
+def pair_block(
+    positions: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    box: PeriodicBox,
+    potential: LennardJones,
+    dtype: np.dtype | type = np.float64,
+    block: int = _DEFAULT_BLOCK,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(accelerations, pe_rows, row_interacting)`` of atoms
+    ``rows`` interacting with atoms ``cols`` (sorted global indices,
+    ``rows ⊆ cols``; ``positions`` holds all atoms, float64).
+
+    Structure-of-arrays layout: one vector per coordinate, pair arrays
+    ``(n_cols, block_rows)`` in scratch reused across row blocks.
+    """
+    dtype = np.dtype(dtype)
+    length = dtype.type(box.length)
+    rcut2 = dtype.type(potential.rcut2)
+    # Cast the *global* array, then gather: the cast is elementwise, so
+    # every row is rounded the same whatever subset it is gathered into.
+    pos = positions.astype(dtype)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n_rows, n_cols = rows.shape[0], cols.shape[0]
+    row_xyz = np.ascontiguousarray(pos[rows].T)
+    col_xyz = np.ascontiguousarray(pos[cols].T)
+    # Position of each row inside the column set, for the self-pair mask.
+    self_col = np.searchsorted(cols, rows)
+
+    acc = np.zeros((n_rows, 3), dtype=dtype)
+    pe_rows = np.zeros(n_rows, dtype=dtype)
+    row_interacting = np.zeros(n_rows, dtype=np.int64)
+    # A one-row tail joins the block before it: width-1 sums are slow.
+    starts = list(range(0, n_rows, block))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    # Each block views a C-contiguous (n_cols, width) prefix of the
+    # scratch, the layout _ordered_column_sums needs.
+    widest = min(n_rows, block + 1)
+    flat = np.empty((9, n_cols * widest), dtype=dtype)
+    flat_within = np.empty(n_cols * widest, dtype=bool)
+
+    for start, stop in zip(starts, starts[1:] + [n_rows]):
+        width = stop - start
+        shape = (n_cols, width)
+        dx, dy, dz, r2, scratch, *work = (
+            buf[: n_cols * width].reshape(shape) for buf in flat
+        )
+        within = flat_within[: n_cols * width].reshape(shape)
+        # d[j, b] = minimum image of pos[rows[start + b]] - pos[cols[j]],
+        # by rint, which NumPy runs faster than masked compare-and-reflect
+        for d, row_k, col_k in zip((dx, dy, dz), row_xyz, col_xyz):
+            np.subtract(row_k[None, start:stop], col_k[:, None], out=d)
+            np.divide(d, length, out=scratch)
+            np.rint(scratch, out=scratch)
+            scratch *= length
+            d -= scratch
+        np.multiply(dx, dx, out=r2)
+        r2 += np.multiply(dy, dy, out=scratch)
+        r2 += np.multiply(dz, dz, out=scratch)
+        r2[self_col[start:stop], np.arange(width)] = np.inf
+        np.less(r2, rcut2, out=within)
+        row_interacting[start:stop] = np.count_nonzero(within, axis=0)
+        f_over_r, pair_pe = _lj_terms(r2, within, potential, tuple(work))
+        for k, d in enumerate((dx, dy, dz)):
+            acc[start:stop, k] = _ordered_column_sums(
+                np.multiply(f_over_r, d, out=scratch)
+            )
+        pe_rows[start:stop] = _ordered_column_sums(pair_pe)
+
+    return acc, pe_rows, row_interacting
+
+
 def compute_forces_reference(
     positions: np.ndarray,
     box: PeriodicBox,
@@ -127,7 +256,7 @@ def compute_forces(
     dtype: np.dtype | type = np.float64,
     block: int = _DEFAULT_BLOCK,
 ) -> ForceResult:
-    """Chunked vectorized all-pairs kernel.
+    """Vectorized all-pairs kernel: :func:`pair_block` over every atom.
 
     Parameters
     ----------
@@ -137,54 +266,22 @@ def compute_forces(
         kernel reproduce the single-precision arithmetic bit-for-bit at
         the NumPy level.
     block:
-        Row-block size; bounds the transient working set to
-        ``block * n`` pair entries.
+        Row-block size; bounds the transient working set to a few
+        ``block * n`` pair arrays.  The result does not depend on it.
     """
     positions64 = _validate(positions, box, potential)
     n = positions64.shape[0]
     dtype = np.dtype(dtype)
-    pos = positions64.astype(dtype)
-    length = dtype.type(box.length)
-    rcut2 = dtype.type(potential.rcut2)
-    sigma2 = dtype.type(potential.sigma * potential.sigma)
-    eps24 = dtype.type(24.0 * potential.epsilon)
-    eps4 = dtype.type(4.0 * potential.epsilon)
-    shift = dtype.type(potential.shift_energy)
-
-    acc = np.zeros((n, 3), dtype=dtype)
-    pe = dtype.type(0.0)
-    interacting = 0
-    row_interacting = np.zeros(n, dtype=np.int64)
-
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # delta[b, j, :] = minimum image of pos[start+b] - pos[j]
-        delta = pos[start:stop, None, :] - pos[None, :, :]
-        delta -= length * np.round(delta / length)
-        r2 = np.einsum("bjk,bjk->bj", delta, delta)
-        # Mask out the self pair (r2 == 0 on the diagonal) and the cutoff.
-        rows = np.arange(start, stop)
-        r2[np.arange(stop - start), rows] = np.inf
-        within = r2 < rcut2
-        row_interacting[start:stop] = within.sum(axis=1)
-        interacting += int(np.count_nonzero(within))
-        inv_r2 = np.where(within, sigma2 / np.where(within, r2, 1.0), dtype.type(0.0))
-        sr6 = inv_r2 * inv_r2 * inv_r2
-        sr12 = sr6 * sr6
-        f_over_r = eps24 * (dtype.type(2.0) * sr12 - sr6) * np.where(
-            within, dtype.type(1.0) / np.where(within, r2, 1.0), dtype.type(0.0)
-        )
-        acc[start:stop] += np.einsum("bj,bjk->bk", f_over_r, delta)
-        pair_pe = eps4 * (sr12 - sr6) - np.where(within, shift, dtype.type(0.0))
-        pe += pair_pe.sum(dtype=dtype)
-
-    # Every unordered pair was visited twice (once from each row block),
-    # so halve the tallies; the force accumulation is already one-sided
-    # per row and needs no halving.
+    every = np.arange(n)
+    acc, pe_rows, row_interacting = pair_block(
+        positions64, every, every, box, potential, dtype=dtype, block=block
+    )
+    # Every unordered pair was visited twice (once from each of its
+    # rows), so halve the tallies; the force rows are one-sided already.
     return ForceResult(
         accelerations=acc.astype(np.float64),
-        potential_energy=0.5 * float(pe),
-        interacting_pairs=interacting // 2,
+        potential_energy=0.5 * float(pe_rows.sum(dtype=dtype)),
+        interacting_pairs=int(row_interacting.sum()) // 2,
         pairs_examined=n * (n - 1) // 2,
         row_interacting=row_interacting,
     )
@@ -224,21 +321,10 @@ def compute_pair_forces(
     delta -= length * np.round(delta / length)
     r2 = np.einsum("ij,ij->i", delta, delta)
     within = r2 < dtype.type(potential.rcut2)
-    safe_r2 = np.where(within, r2, dtype.type(1.0))
-    inv_r2 = np.where(within, dtype.type(potential.sigma**2) / safe_r2, dtype.type(0.0))
-    sr6 = inv_r2 * inv_r2 * inv_r2
-    sr12 = sr6 * sr6
-    f_over_r = (
-        dtype.type(24.0 * potential.epsilon)
-        * (dtype.type(2.0) * sr12 - sr6)
-        * np.where(within, dtype.type(1.0) / safe_r2, dtype.type(0.0))
-    )
+    f_over_r, pair_pe = _lj_terms(r2, within, potential)
     force = f_over_r[:, None] * delta
     np.add.at(acc, i, force)
     np.subtract.at(acc, j, force)
-    pair_pe = dtype.type(4.0 * potential.epsilon) * (sr12 - sr6) - np.where(
-        within, dtype.type(potential.shift_energy), dtype.type(0.0)
-    )
     return ForceResult(
         accelerations=acc.astype(np.float64),
         potential_energy=float(pair_pe.sum(dtype=dtype)),
@@ -267,10 +353,6 @@ def compute_forces_27image(
     pos = positions64.astype(dtype)
     offsets = (IMAGE_OFFSETS * box.length).astype(dtype)
     rcut2 = dtype.type(potential.rcut2)
-    sigma2 = dtype.type(potential.sigma * potential.sigma)
-    eps24 = dtype.type(24.0 * potential.epsilon)
-    eps4 = dtype.type(4.0 * potential.epsilon)
-    shift = dtype.type(potential.shift_energy)
 
     acc = np.zeros((n, 3), dtype=dtype)
     pe = dtype.type(0.0)
@@ -290,15 +372,8 @@ def compute_forces_27image(
         r2[np.arange(stop - start), rows] = np.inf
         within = r2 < rcut2
         interacting += int(np.count_nonzero(within))
-        safe_r2 = np.where(within, r2, dtype.type(1.0))
-        inv_r2 = np.where(within, sigma2 / safe_r2, dtype.type(0.0))
-        sr6 = inv_r2 * inv_r2 * inv_r2
-        sr12 = sr6 * sr6
-        f_over_r = eps24 * (dtype.type(2.0) * sr12 - sr6) * np.where(
-            within, dtype.type(1.0) / safe_r2, dtype.type(0.0)
-        )
+        f_over_r, pair_pe = _lj_terms(r2, within, potential)
         acc[start:stop] += np.einsum("bj,bjk->bk", f_over_r, delta)
-        pair_pe = eps4 * (sr12 - sr6) - np.where(within, shift, dtype.type(0.0))
         pe += pair_pe.sum(dtype=dtype)
 
     return ForceResult(

@@ -1,4 +1,5 @@
-"""The equivalence net: K-way decomposed runs equal the K=1 run bitwise.
+"""The equivalence net: K-way decomposed runs equal the K=1 run bitwise,
+and the plain device run too.
 
 This is the cluster analogue of ``tests/md/test_force_equivalence.py``:
 the decomposition is only allowed to change *pricing*, never physics.
@@ -16,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.machine import CLUSTER_DEVICES, SimulatedCluster
+from repro.cluster.machine import (
+    CLUSTER_DEVICES,
+    ClusterRunResult,
+    SimulatedCluster,
+    _device_factories,
+)
 from repro.md.simulation import MDConfig
 
 #: rcut must fit the half-box: 64 atoms needs a tighter cutoff.
@@ -32,6 +38,14 @@ def _digest(device: str, n_nodes: int, n_atoms: int, n_steps: int,
             seed: int = 2007) -> str:
     cluster = SimulatedCluster(device=device, n_nodes=n_nodes)
     return cluster.run(_config(n_atoms, seed), n_steps).state_digest()
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_digest(device: str, n_atoms: int, n_steps: int) -> str:
+    plain = _device_factories()[device]().run(_config(n_atoms), n_steps)
+    # state_digest reads only final_positions, final_velocities and
+    # records, which a DeviceRunResult carries too.
+    return ClusterRunResult.state_digest(plain)
 
 
 class TestBitIdentity:
@@ -70,6 +84,15 @@ class TestAgainstPlainDevices:
         assert np.array_equal(
             clustered.final_velocities, plain.final_velocities
         )
+
+    @pytest.mark.parametrize("device", CLUSTER_DEVICES)
+    @pytest.mark.parametrize("n_nodes", [1, 2, 4, 8])
+    def test_every_node_count_is_the_plain_device_trajectory(
+        self, device, n_nodes
+    ):
+        """Nodes run the plain device's own pair kernel, so every K
+        reproduces its digest, per-step potential energy included."""
+        assert _digest(device, n_nodes, 128, 2) == _plain_digest(device, 128, 2)
 
     def test_decomposed_positions_match_plain_device(self):
         """Transitively: K>1 state equals the plain device run too."""

@@ -49,8 +49,8 @@ class TestTunedBackendOptions:
             assert tuned_backend_options("all-pairs", device="cell") == {}
 
     def test_block_rechunk_preserves_forces(self):
-        # md.block only re-chunks the pair scan; float reductions may
-        # reassociate, so the result is allclose, not bitwise-equal
+        # md.block only re-chunks the pair scan; every row is reduced
+        # in column order whatever the chunking, so the result is bitwise
         from repro.md.forcefield import make_force_backend
         from repro.md.lj import LennardJones
 
@@ -64,12 +64,10 @@ class TestTunedBackendOptions:
                 "all-pairs", box, LennardJones(), block=block
             )
             results[block] = backend(positions)
-        np.testing.assert_allclose(
-            results[64].accelerations, results[256].accelerations, rtol=1e-10
+        assert np.array_equal(
+            results[64].accelerations, results[256].accelerations
         )
-        assert results[64].potential_energy == pytest.approx(
-            results[256].potential_energy
-        )
+        assert results[64].potential_energy == results[256].potential_energy
 
 
 class TestCellPartition:
