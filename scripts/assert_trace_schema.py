@@ -4,7 +4,7 @@ Chrome trace-event document with at least one span lane.
 
 Usage::
 
-    PYTHONPATH=src python scripts/assert_trace_schema.py runs/traces [...]
+    PYTHONPATH=src python scripts/assert_trace_schema.py runs [...]
 
 Exits non-zero (listing every problem) if any trace fails
 :func:`repro.obs.trace.validate_chrome_trace`, contains no ``"X"``

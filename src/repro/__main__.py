@@ -1,16 +1,17 @@
-"""``python -m repro`` — run the full reproduction roster.
+"""``python -m repro`` — the one command-line front end.
 
-Delegates to :mod:`repro.experiments.runner`; pass ``--quick`` for the
-reduced sweeps, ``--only <id>`` for a single artifact, or ``--list``
-for the roster.  For parallel execution with cached, stored run
-artifacts use ``python -m repro.harness`` instead.
+Passes argv unchanged to :func:`repro.harness.cli.main`, so
+``python -m repro run --quick`` runs the reduced roster,
+``python -m repro run --list`` prints it, and ``python -m repro show
+RUN_ID --render`` prints a stored run's tables, shape checks and
+timelines.  ``python -m repro.harness`` is the same CLI.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.experiments.runner import main
+from repro.harness.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

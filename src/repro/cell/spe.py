@@ -98,7 +98,7 @@ class SpePairSweep:
     Defaults to the ``compiled`` VM backend (the sweep only reads the
     kernel's declared outputs, so the interpreter's full-env
     side-effects buy nothing here); pass ``exec_backend="interp"`` or
-    set ``REPRO_VM_EXEC`` to override.  Constant registers, ``zero``,
+    apply a tuned ``vm.exec`` value to override.  Constant registers, ``zero``,
     and the ``self_flag`` buffer are built once per batch size and
     reused across row blocks instead of being re-materialized as fresh
     ``(batch, width)`` arrays for every block.

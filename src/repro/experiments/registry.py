@@ -4,10 +4,9 @@ Every artifact of the paper (Table 1, Figs 5–9) and every ablation is
 described here as an :class:`ExperimentSpec` — a *data* record naming
 the module/function to run plus JSON-serializable parameter dicts for
 the full-scale and ``--quick`` variants.  The harness derives cache
-keys and cross-process job payloads from these specs; the legacy runner
-derives its ``(id, factory)`` roster from them.  Adding an experiment
-means adding one entry to :data:`EXPERIMENTS` (and a ``DESCRIPTION`` in
-the module); every front-end picks it up.
+keys and cross-process job payloads from these specs.  Adding an
+experiment means adding one entry to :data:`EXPERIMENTS` (and a
+``DESCRIPTION`` in the module); the CLI and the service pick it up.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ class GpuPairSweep:
     ) -> None:
         self.shader = shader
         # Shaders only expose declared outputs, so the compiled VM
-        # backend is the default; REPRO_VM_EXEC or exec_backend override.
+        # backend is the default; exec_backend or a tuned vm.exec override.
         self.machine = Machine(
             width=width,
             dtype=np.float32,

@@ -1,9 +1,8 @@
 """Harness orchestration: roster → jobs → cache → scheduler → run store.
 
 :func:`run_roster` is the one entry point every front-end shares — the
-``python -m repro.harness`` CLI, the legacy
-``repro.experiments.runner`` shim, and the tests (which feed it stub
-jobs instead of the real registry).
+``python -m repro`` CLI, SPMD cluster sharding, and the tests (which
+feed it stub jobs instead of the real registry).
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ def run_roster(
     """Execute a job roster and (optionally) persist it.
 
     With ``store=None`` the run is ephemeral — no cache, no artifacts —
-    which is exactly what the legacy runner shim wants.  ``on_record``
+    which is what :func:`repro.cluster.sharding.run_sharded` wants.  ``on_record``
     fires for every job (cached replays included) as its record becomes
     available.  A job counts as a *failure* when it did not finish
     (``status != "ok"``) or finished outside its paper-shape bands

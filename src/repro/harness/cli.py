@@ -1,4 +1,4 @@
-"""``python -m repro.harness`` — the experiment-execution CLI.
+"""``python -m repro`` (or ``python -m repro.harness``) — the one CLI.
 
 Subcommands::
 
@@ -17,6 +17,9 @@ Subcommands::
 
 ``run`` exits non-zero when any job failed to finish or finished
 outside its paper-shape bands; ``diff`` exits non-zero on regressions.
+``show --render`` prints each job's result table with its paper-shape
+checks (or its traceback) and, for traced runs, each job's ASCII
+timeline.
 ``tune`` searches each scenario's knob space with short measured
 probes and persists the winning config under ``runs/tuned/``; later
 ``run``s auto-load matching configs (``--no-tuned`` opts out).
@@ -92,12 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--force-path", default="all-pairs",
                      choices=available_backends(),
                      help="functional force engine for the fig9 sweep")
-    from repro.vm.machine import EXEC_BACKENDS, EXEC_ENV_VAR
-
-    run.add_argument("--vm-exec", default=None, choices=EXEC_BACKENDS,
-                     help="VM execution backend for every device model (sets "
-                     f"{EXEC_ENV_VAR} so worker processes inherit it; not "
-                     "part of job cache keys — results are bit-identical)")
     run.add_argument("--fault-plan", default=None, metavar="PLAN",
                      help="fault plan for the chaos experiment: 'storm', "
                      "'none', or a path to a JSON plan file; ships through "
@@ -140,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     show = sub.add_parser("show", help="show one stored run")
     show.add_argument("run_id")
     show.add_argument("--render", action="store_true",
-                      help="render each job's full result table")
+                      help="render each job's full result table, plus "
+                      "an ASCII timeline for each stored trace")
     _add_runs_dir(show)
 
     diff = sub.add_parser("diff", help="compare two runs' shape checks")
@@ -206,18 +204,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.list:
         print_roster()
         return 0
-    if args.vm_exec:
-        # Env var (not a job param): worker processes inherit os.environ,
-        # and cache keys stay byte-for-byte identical across backends —
-        # the backends produce bit-identical results, so a cached record
-        # computed under either one is valid for both.
-        import os
-
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        os.environ[EXEC_ENV_VAR] = args.vm_exec
     if args.replicas is not None and args.replicas < 1:
         print("error: --replicas must be >= 1", file=sys.stderr)
+        return 2
+    if args.timeout is not None and args.jobs < 1:
+        print("error: --timeout requires --jobs >= 1", file=sys.stderr)
         return 2
     fault_plan = None
     if args.fault_plan is not None:
@@ -269,7 +260,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "quick": args.quick,
             "jobs": args.jobs,
             "force_path": args.force_path,
-            "vm_exec": args.vm_exec,
             "fault_plan": args.fault_plan,
             "replicas": args.replicas,
             "only": args.only,
@@ -406,15 +396,25 @@ def _cmd_show(args: argparse.Namespace) -> int:
     )
     if args.render:
         from repro.experiments.common import ExperimentResult
+        from repro.reporting import ascii_timeline
 
+        traced = set(store.list_traces(args.run_id))
         for record in store.iter_job_records(args.run_id):
+            job_id = record["job_id"]
             print()
             if record.get("result"):
                 print(ExperimentResult.from_dict(record["result"]).render())
             else:
-                print(f"[{record['job_id']}] {record['status']}")
+                print(f"[{job_id}] {record['status']}")
                 if record.get("traceback"):
                     print(record["traceback"])
+            if job_id in traced:
+                trace = store.read_trace(args.run_id, job_id)
+                print(ascii_timeline(trace).rstrip("\n"))
+                print(
+                    f"trace: {store.trace_path(args.run_id, job_id)}  "
+                    "(load in chrome://tracing or ui.perfetto.dev)"
+                )
     return 0
 
 

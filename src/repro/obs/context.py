@@ -1,6 +1,6 @@
 """Ambient observation sessions: observe many runs without plumbing.
 
-The runner/harness ``--trace``/``--counters`` path must observe every
+The harness ``--trace``/``--counters`` path must observe every
 ``Device.run`` inside an experiment function without changing any
 experiment signature.  :func:`collect` opens an
 :class:`ObservationSession` and pushes it onto a module-level stack;

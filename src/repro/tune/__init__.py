@@ -8,7 +8,7 @@ opened: each backend *declares* its tunable knobs in a typed
 :class:`~repro.tune.spec.TunableSpec` registry, the tuner runs short
 measured probes per (experiment, N, device) scenario, and the winning
 configuration is persisted as a content-addressed artifact under
-``runs/tuned/`` that the runner, the harness CLI, and the service
+``runs/tuned/`` that the harness CLI and the service
 worker auto-load on subsequent runs (``--no-tuned`` opts out).
 
 Only knobs that cannot change trajectories are registrable: a

@@ -6,7 +6,7 @@ the full trial table that justified them.  Artifacts are keyed by
 :func:`tuned_key` — a sha256 over the scenario identity, the knob grids
 searched, and the code fingerprint — so a tuned config can never be
 applied to a scenario, knob space, or code tree it wasn't measured on:
-any of those changing changes the key, and the runner simply finds no
+any of those changing changes the key, and the harness simply finds no
 artifact and falls back to defaults until someone re-tunes.
 
 Writes are atomic (unique-per-writer temp name + rename, the same

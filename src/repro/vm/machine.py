@@ -27,10 +27,10 @@ Three execution backends share the instruction semantics:
   granularities only differ when a caller hands over a whole program.
 
 The backend is chosen per :class:`Machine` via ``exec_backend``, with
-the ``REPRO_VM_EXEC`` environment variable filling in when the caller
-passes ``None``.  Cycle estimation (:mod:`repro.vm.schedule`) reads the
-instruction stream, never the executor, so timing results are identical
-under either backend.
+an active tuned config's ``vm.exec`` value filling in when the caller
+passes ``None`` (see :func:`resolve_exec_backend`).  Cycle estimation
+(:mod:`repro.vm.schedule`) reads the instruction stream, never the
+executor, so timing results are identical under either backend.
 
 Predication: an :class:`IfBlock` executes its body unconditionally,
 then lane-wise selects the new values where the condition register is
@@ -41,8 +41,6 @@ model's branch probabilities come from.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -60,9 +58,6 @@ __all__ = [
 #: Recognized execution backends.
 EXEC_BACKENDS = ("interp", "compiled", "fused")
 
-#: Environment variable consulted when ``exec_backend`` is not given.
-EXEC_ENV_VAR = "REPRO_VM_EXEC"
-
 
 class MachineError(RuntimeError):
     """Raised for malformed programs or register-file misuse."""
@@ -73,19 +68,17 @@ def resolve_exec_backend(
     default: str = "interp",
     device: str = "vm",
 ) -> str:
-    """Pick an execution backend: explicit > env var > tuned > default.
+    """Pick an execution backend: explicit > tuned > default.
 
     The core :class:`Machine` defaults to ``interp`` (full ``env``
     side-effects, reference semantics); the device drivers default to
-    ``compiled`` (the fast path).  ``REPRO_VM_EXEC`` overrides either
-    default when the caller did not choose explicitly; below that, an
-    active tuned config's ``vm.exec`` value (scoped to ``device`` — the
-    drivers pass ``"cell"``/``"gpu"``) fills in.  All three backends are
-    bit-identical, so this ordering can only change speed.
+    ``compiled`` (the fast path).  When the caller did not choose
+    explicitly, an active tuned config's ``vm.exec`` value (scoped to
+    ``device`` — the drivers pass ``"cell"``/``"gpu"``) overrides
+    either default.  All three backends are bit-identical, so this
+    ordering can only change speed.
     """
-    backend = explicit if explicit is not None else (
-        os.environ.get(EXEC_ENV_VAR) or None  # empty string = unset
-    )
+    backend = explicit
     if backend is None:
         from repro.tune.context import tuned_value
 

@@ -1,108 +1,111 @@
-"""Tests for the experiment runner CLI."""
+"""Tests for running the experiment roster through ``python -m repro``.
+
+``repro.__main__`` hands argv unchanged to the harness CLI, so these
+drive its ``run`` and ``show`` subcommands the way a user reproducing
+the paper does: the roster, flag validation, inline crash isolation,
+and ``--replicas`` reaching the ensemble report.
+"""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import runner
+import repro
+from repro.__main__ import main
+from repro.harness.api import jobs_from_registry
+from repro.harness.store import RunStore
+
+
+def run_then_render(runs_dir: Path, argv: list[str], capsys) -> tuple[int, str]:
+    """``run --jobs 0`` into ``runs_dir``, then ``show --render`` the run.
+
+    Returns the run's exit code and everything both commands printed.
+    """
+    code = main(["run", "--jobs", "0", "--runs-dir", str(runs_dir), *argv])
+    (run_id,) = RunStore(runs_dir).list_runs()
+    assert main(["show", run_id, "--render", "--runs-dir", str(runs_dir)]) == 0
+    return code, capsys.readouterr().out
 
 
 class TestRoster:
     def test_full_roster_covers_every_artifact(self):
-        factories = runner.all_experiments(quick=False)
-        assert len(factories) == 19
+        assert len(jobs_from_registry(quick=False)) == 19
 
     def test_quick_roster_same_length(self):
-        assert len(runner.all_experiments(quick=True)) == len(
-            runner.all_experiments(quick=False)
+        assert len(jobs_from_registry(quick=True)) == len(
+            jobs_from_registry(quick=False)
         )
 
 
 class TestCli:
-    def test_only_filter_runs_one_experiment(self, capsys):
-        exit_code = runner.main(["--quick", "--only", "abl-precision"])
-        out = capsys.readouterr().out
+    def test_only_filter_runs_one_experiment(self, tmp_path, capsys):
+        code, out = run_then_render(
+            tmp_path / "runs", ["--quick", "--only", "abl-precision"], capsys
+        )
         assert "abl-precision" in out
         assert "fig7" not in out
-        assert exit_code == 0
+        assert code == 0
 
     def test_module_main_entry(self):
-        import repro.__main__  # noqa: F401 - import must succeed
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--list"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "SIMD optimization ladder" in proc.stdout
 
     def test_bad_flag_rejected(self):
         with pytest.raises(SystemExit):
-            runner.main(["--bogus"])
+            main(["run", "--bogus"])
 
-    def test_unknown_only_id_rejected(self):
-        with pytest.raises(SystemExit):
-            runner.main(["--only", "fig99"])
+    def test_unknown_only_id_rejected(self, tmp_path, capsys):
+        code = main(
+            ["run", "--only", "fig99", "--runs-dir", str(tmp_path / "runs")]
+        )
+        assert code == 2
+        assert "unknown experiment id" in capsys.readouterr().err
 
-    def test_list_prints_roster_without_running(self, capsys):
-        exit_code = runner.main(["--list"])
+    def test_list_prints_roster_without_running(self, tmp_path, capsys):
+        runs_dir = tmp_path / "runs"
+        exit_code = main(["run", "--list", "--runs-dir", str(runs_dir)])
         out = capsys.readouterr().out
         assert exit_code == 0
         for eid in ("fig5", "table1", "abl-precision"):
             assert eid in out
         assert "SIMD optimization ladder" in out
         assert "PASS" not in out  # listing must not execute experiments
-
-
-class TestVmExecFlag:
-    def test_fused_is_an_accepted_backend_value(self, capsys, monkeypatch):
-        import os
-
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        # setenv (not delenv) so teardown always restores the var even
-        # when it started out absent — the CLI writes os.environ
-        monkeypatch.setenv(EXEC_ENV_VAR, "compiled")
-        # --list exits before running anything, but --vm-exec has
-        # already been applied: cheap way to observe the env hand-off
-        assert runner.main(["--list", "--vm-exec", "fused"]) == 0
-        assert os.environ[EXEC_ENV_VAR] == "fused"
-
-    def test_flag_overrides_inherited_env_var(self, capsys, monkeypatch):
-        import os
-
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "interp")
-        assert runner.main(["--list", "--vm-exec", "fused"]) == 0
-        assert os.environ[EXEC_ENV_VAR] == "fused"
-
-    def test_invalid_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            runner.main(["--list", "--vm-exec", "vectorised"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_env_var_alone_reaches_machines(self, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR, Machine
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "fused")
-        assert Machine(width=4).exec_backend == "fused"
+        assert not runs_dir.exists()
 
 
 class TestReplicasFlag:
-    def test_replicas_below_one_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            runner.main(["--quick", "--replicas", "0"])
+    def test_replicas_below_one_rejected(self, tmp_path, capsys):
+        code = main(
+            ["run", "--quick", "--replicas", "0",
+             "--runs-dir", str(tmp_path / "runs")]
+        )
+        assert code == 2
         assert "--replicas must be >= 1" in capsys.readouterr().err
 
-    def test_non_integer_replicas_rejected(self, capsys):
+    def test_non_integer_replicas_rejected(self):
         with pytest.raises(SystemExit):
-            runner.main(["--quick", "--replicas", "two"])
+            main(["run", "--quick", "--replicas", "two"])
 
-    def test_replicas_reaches_the_ensemble_experiment(self, capsys, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "interp")  # CLI overwrites it;
-        # setenv registers the undo delenv would skip for an absent var
-        exit_code = runner.main(
-            ["--quick", "--only", "ensemble", "--replicas", "2",
-             "--vm-exec", "fused"]
+    def test_replicas_reaches_the_ensemble_experiment(self, tmp_path, capsys):
+        code, out = run_then_render(
+            tmp_path / "runs",
+            ["--quick", "--only", "ensemble", "--replicas", "2"],
+            capsys,
         )
-        out = capsys.readouterr().out
-        assert exit_code == 0
+        assert code == 0
         assert "2 replicas" in out  # the override landed in the title
         assert "bit-identical to sequential runs" in out
         assert "FAIL" not in out
@@ -119,24 +122,21 @@ class TestReplicasFlag:
 
 class TestCrashIsolation:
     def test_one_raising_experiment_does_not_abort_the_roster(
-        self, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch
     ):
         from repro.experiments import ablations
-        from repro.experiments.registry import experiment_ids
 
         def explode(**_kwargs):
             raise RuntimeError("injected crash")
 
         monkeypatch.setattr(ablations, "run_precision", explode)
-        keep = {"abl-precision", "abl-reduce"}
-        argv = ["--quick"]
-        for eid in experiment_ids():
-            if eid not in keep:
-                argv += ["--skip", eid]
-        exit_code = runner.main(argv)
-        out = capsys.readouterr().out
-        assert exit_code == 1
-        assert "[ERROR] abl-precision" in out
-        assert "injected crash" in out  # traceback lands in the report
-        assert "abl-reduce" in out  # the survivor still rendered
-        assert "raised instead of completing" in out
+        code, out = run_then_render(
+            tmp_path / "runs",
+            ["--quick", "--only", "abl-precision", "--only", "abl-reduce"],
+            capsys,
+        )
+        assert code == 1
+        assert "[abl-precision] failed" in out
+        assert "[abl-reduce] ok, bands ok" in out  # the survivor finished
+        assert "injected crash" in out  # show --render prints the traceback
+        assert "RuntimeError" in out

@@ -98,19 +98,7 @@ class TestDiff:
         assert "fixed" in capsys.readouterr().out
 
 
-class TestVmExecAndReplicas:
-    def test_invalid_vm_exec_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--list", "--vm-exec", "vectorised"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_fused_accepted_and_listed_help(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--help"])
-        out = capsys.readouterr().out
-        assert "fused" in out
-        assert "--replicas" in out
-
+class TestReplicasAndTimeout:
     def test_replicas_below_one_rejected(self, tmp_path, capsys):
         code = cli.main(
             ["run", "--replicas", "0", "--runs-dir", str(tmp_path / "runs")]
@@ -118,32 +106,76 @@ class TestVmExecAndReplicas:
         assert code == 2
         assert "--replicas must be >= 1" in capsys.readouterr().err
 
-    def test_replicas_is_part_of_the_cache_key(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Same roster, different --replicas: cache must miss; same
-        --replicas again: cache must hit.  --vm-exec is deliberately
-        NOT keyed (backends are bit-identical), so the hit survives a
-        backend switch."""
-        from repro.vm.machine import EXEC_ENV_VAR
+    def test_timeout_rejected_inline(self, tmp_path, capsys):
+        """Inline jobs cannot be timed out, so the combination is an
+        error rather than a silently ignored flag."""
+        runs_dir = tmp_path / "runs"
+        code = cli.main(
+            ["run", "--quick", "--only", "abl-precision", "--jobs", "0",
+             "--timeout", "5", "--runs-dir", str(runs_dir)]
+        )
+        assert code == 2
+        assert "--timeout requires --jobs >= 1" in capsys.readouterr().err
+        assert RunStore(runs_dir).list_runs() == []
 
-        # setenv so teardown restores even when the var started absent
-        # (delenv on a missing var registers no undo)
-        monkeypatch.setenv(EXEC_ENV_VAR, "interp")
+    def test_timeout_accepted_with_a_worker(self, tmp_path, capsys):
+        code = cli.main(
+            ["run", "--quick", "--only", "abl-precision", "--jobs", "1",
+             "--timeout", "120", "--runs-dir", str(tmp_path / "runs")]
+        )
+        assert code == 0
+        assert "[abl-precision] ok" in capsys.readouterr().out
+
+    def test_replicas_is_part_of_the_cache_key(self, tmp_path, capsys):
+        """Same roster, different --replicas: cache must miss; same
+        --replicas again: cache must hit."""
         runs_dir = str(tmp_path / "runs")
         base = ["run", "--quick", "--only", "ensemble", "--jobs", "0",
                 "--runs-dir", runs_dir]
 
-        assert cli.main(base + ["--replicas", "2", "--vm-exec", "fused"]) == 0
+        assert cli.main(base + ["--replicas", "2"]) == 0
         assert "(cached)" not in capsys.readouterr().out
 
-        assert cli.main(base + ["--replicas", "3", "--vm-exec", "fused"]) == 0
+        assert cli.main(base + ["--replicas", "3"]) == 0
         assert "(cached)" not in capsys.readouterr().out  # new key
 
-        assert cli.main(base + ["--replicas", "2", "--vm-exec", "compiled"]) == 0
+        assert cli.main(base + ["--replicas", "2"]) == 0
         out = capsys.readouterr().out
-        assert "(cached)" in out  # replicas keyed, backend not
+        assert "(cached)" in out
         assert "1 cached" in out
+
+
+class TestShowRender:
+    def test_traced_run_renders_a_timeline(self, tmp_path, capsys):
+        from repro.reporting import ascii_timeline
+
+        runs_dir = str(tmp_path / "runs")
+        argv = ["run", "--quick", "--only", "fig5", "--jobs", "0",
+                "--trace", "--runs-dir", runs_dir]
+        assert cli.main(argv) == 0
+        store = RunStore(runs_dir)
+        (run_id,) = store.list_runs()
+        assert store.list_traces(run_id) == ["fig5"]
+        capsys.readouterr()
+
+        assert cli.main(["show", run_id, "--render", "--runs-dir", runs_dir]) == 0
+        out = capsys.readouterr().out
+        timeline = ascii_timeline(store.read_trace(run_id, "fig5"))
+        assert "no complete events" not in timeline
+        assert timeline.rstrip("\n") in out
+        assert str(store.trace_path(run_id, "fig5")) in out
+        assert "PASS" in out  # the table and its shape checks still render
+
+    def test_untraced_run_renders_no_timeline(self, tmp_path, capsys):
+        runs_dir = str(tmp_path / "runs")
+        argv = ["run", "--quick", "--only", "abl-precision", "--jobs", "0",
+                "--runs-dir", runs_dir]
+        assert cli.main(argv) == 0
+        (run_id,) = RunStore(runs_dir).list_runs()
+        capsys.readouterr()
+
+        assert cli.main(["show", run_id, "--render", "--runs-dir", runs_dir]) == 0
+        assert "trace:" not in capsys.readouterr().out
 
 
 class TestQuarantine:

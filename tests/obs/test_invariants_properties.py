@@ -21,6 +21,7 @@ from repro.obs.invariants import (
     span_nesting_problems,
 )
 from repro.obs.observe import Observation
+from repro.tune.context import applied
 
 CONFIG = MDConfig(n_atoms=128)
 
@@ -130,16 +131,14 @@ class TestBackendCounterIdentity:
     """interp and compiled VM backends must charge identical counters."""
 
     @pytest.mark.parametrize("n_steps", [1, 2])
-    def test_cell_vm_counters_backend_independent(self, n_steps, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR
-
+    def test_cell_vm_counters_backend_independent(self, n_steps):
         snapshots = {}
         for backend in ("interp", "compiled"):
-            monkeypatch.setenv(EXEC_ENV_VAR, backend)
-            device = CellDevice(n_spes=1, mode="vm")
-            result = device.run(
-                CONFIG, n_steps, observe=Observation(device.name)
-            )
+            with applied({"vm.exec": backend}):
+                device = CellDevice(n_spes=1, mode="vm")
+                result = device.run(
+                    CONFIG, n_steps, observe=Observation(device.name)
+                )
             snapshots[backend] = result.counters
         assert snapshots["interp"] == snapshots["compiled"]
         assert any(k.startswith("vm.") for k in snapshots["interp"])

@@ -31,6 +31,7 @@ from repro.gpu.kernels import (
     shader_constants,
 )
 from repro.md.lj import LennardJones
+from repro.tune.context import applied
 from repro.vm.compile import CompiledSegment, VMCompileError, compiled_segment
 from repro.vm.machine import BranchStat, Machine, MachineError, resolve_exec_backend
 from repro.vm.program import IfBlock, Instr, Loop, Program, Segment
@@ -392,16 +393,15 @@ class TestBranchStat:
 
 
 class TestBackendSelection:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_EXEC", "compiled")
-        assert resolve_exec_backend("interp") == "interp"
+    def test_explicit_wins_over_tuned(self):
+        with applied({"vm.exec": "compiled"}):
+            assert resolve_exec_backend("interp") == "interp"
 
-    def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_EXEC", "interp")
-        assert resolve_exec_backend(None, default="compiled") == "interp"
+    def test_tuned_wins_over_default(self):
+        with applied({"vm.exec": "interp"}):
+            assert resolve_exec_backend(None, default="compiled") == "interp"
 
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VM_EXEC", raising=False)
+    def test_default_when_unset(self):
         assert resolve_exec_backend(None, default="compiled") == "compiled"
         assert Machine().exec_backend == "interp"
 
@@ -411,17 +411,16 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             Machine(exec_backend="turbo")
 
-    def test_drivers_default_to_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VM_EXEC", raising=False)
+    def test_drivers_default_to_compiled(self):
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
         assert SpePairSweep(program).machine.exec_backend == "compiled"
         shader = build_md_shader(BOX_LENGTH)
         assert GpuPairSweep(shader).machine.exec_backend == "compiled"
 
-    def test_env_var_reaches_drivers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_EXEC", "interp")
+    def test_tuned_value_reaches_drivers(self):
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        assert SpePairSweep(program).machine.exec_backend == "interp"
+        with applied({"vm.exec": "interp"}):
+            assert SpePairSweep(program).machine.exec_backend == "interp"
 
 
 class TestCompilerMachinery:
