@@ -1,11 +1,15 @@
-"""The Device contract: functional physics + simulated timing, together.
+"""The Device contract: shared physics, priced per device model.
 
-A device model must *actually run* the MD physics (through its force
-backend, in its native precision) and, for every step, report simulated
-wall-clock components derived from its cost model and the measured
-kernel metrics of that step.  :meth:`Device.run` is the template method
-tying the two halves to the MD driver; subclasses implement the two
-abstract hooks.
+The MD physics of a run is computed once per key — configuration,
+precision, step count, force path and resolved backend options — by
+:func:`repro.md.physics.physics_record`, and every device whose force
+path is the plain functional backend prices that one record: for each
+step it reports simulated wall-clock components derived from its cost
+model and the measured kernel metrics of that step.  Fault runs and
+devices with their own force backend (instruction-level VM modes, test
+doubles) step their backend live instead, through the same pricing
+code.  :meth:`Device.run` is the template method tying the two halves
+together; subclasses implement :meth:`Device.step_seconds`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.faults.checkpoint import CheckpointManager, RestoreBudgetExceeded
 from repro.faults.detect import EnergyDriftWatchdog
 from repro.faults.plan import FaultPlan
 from repro.faults.session import FaultSession, UnrecoveredFaultError
-from repro.md.forces import ForceResult
+from repro.md.physics import physics_record
 from repro.md.simulation import MDConfig, MDSimulation, StepRecord
 from repro.obs.context import ambient_observation
 from repro.obs.observe import Observation
@@ -101,34 +105,53 @@ class Device(abc.ABC):
     #: that family (see :mod:`repro.tune.context`)
     tune_family: str = "host"
 
-    @abc.abstractmethod
     def force_backend(self, sim_box, potential):
         """Return the functional force callable for this device.
 
         The callable maps positions -> :class:`ForceResult` and must
-        perform arithmetic in the device's native precision.
+        perform arithmetic in the device's native precision.  The
+        default is :meth:`functional_backend`; a device that overrides
+        this runs its own backend live on every run (see
+        :meth:`uses_shared_physics`).
         """
+        return self.functional_backend(sim_box, potential)
 
     def functional_backend(self, sim_box, potential):
         """Resolve :attr:`force_path` through the backend registry.
 
         The concrete devices' NumPy-level ("fast") force paths all
         delegate here, so every device honors a ``force_path`` override;
-        instruction-level VM paths ignore it by design.  Active tuned
-        knob values for this device's :attr:`tune_family` become factory
-        options; with no tuning in effect the factory defaults apply
-        unchanged.
+        instruction-level VM paths ignore it by design.  Factory options
+        come from :meth:`backend_options`.
         """
-        from repro.md.forcefield import make_force_backend, tuned_backend_options
+        from repro.md.forcefield import make_force_backend
 
-        options = tuned_backend_options(self.force_path, self.tune_family)
         return make_force_backend(
             self.force_path,
             sim_box,
             potential,
             dtype=np.dtype(self.precision),
-            **options,
+            **self.backend_options(),
         )
+
+    def backend_options(self) -> dict[str, object]:
+        """Factory options of the functional backend: the active tuned
+        knob values for this device's :attr:`tune_family`, or ``{}``
+        (factory defaults) with no tuning in effect."""
+        from repro.md.forcefield import tuned_backend_options
+
+        return tuned_backend_options(self.force_path, self.tune_family)
+
+    def uses_shared_physics(self) -> bool:
+        """Whether a fault-free :meth:`run` prices the shared physics
+        record rather than stepping :meth:`force_backend` itself.
+
+        True exactly when the force backend is the inherited
+        :meth:`functional_backend` delegate, whose trajectory depends
+        only on the record's key.  Devices with a mode switch refine
+        this.
+        """
+        return type(self).force_backend is Device.force_backend
 
     @abc.abstractmethod
     def step_seconds(
@@ -221,6 +244,32 @@ class Device(abc.ABC):
         self, config: MDConfig, n_steps: int, session: FaultSession | None
     ) -> DeviceRunResult:
         self.prepare(config)
+        if session is not None or not self.uses_shared_physics():
+            return self._run_live(config, n_steps, session)
+        physics = physics_record(
+            config, n_steps, self.force_path, self.backend_options()
+        )
+        branch_probs = self.branch_probabilities(config)
+        obs = self.observation
+        counter_baseline = obs.counters.as_dict() if obs is not None else {}
+        breakdowns = [
+            self._price_step(
+                config, branch_probs, record.interacting_pairs, step_index, None
+            )
+            for step_index, record in enumerate(physics.records[1:])
+        ]
+        return self._result(
+            config, n_steps, breakdowns, physics.records,
+            physics.final_positions, physics.final_velocities,
+            None, counter_baseline,
+        )
+
+    def _run_live(
+        self, config: MDConfig, n_steps: int, session: FaultSession | None
+    ) -> DeviceRunResult:
+        """Step this device's own force backend: the path for fault runs
+        (the guard, watchdog and restores act on the live state) and for
+        devices whose physics is not the shared functional trajectory."""
         box = config.make_box()
         potential = config.make_potential()
         backend = self.force_backend(box, potential)
@@ -228,14 +277,7 @@ class Device(abc.ABC):
             session.enabled = False  # checkpoint 0 must be trustworthy
             backend = session.guard_backend(backend)
 
-        last_result: dict[str, ForceResult] = {}
-
-        def recording_backend(positions: np.ndarray) -> ForceResult:
-            result = backend(positions)
-            last_result["value"] = result
-            return result
-
-        sim = MDSimulation(config, force_backend=recording_backend)
+        sim = MDSimulation(config, force_backend=backend)
         watchdog: EnergyDriftWatchdog | None = None
         manager: CheckpointManager | None = None
         if session is not None:
@@ -254,47 +296,25 @@ class Device(abc.ABC):
         branch_probs = self.branch_probabilities(config)
         obs = self.observation
         counter_baseline = obs.counters.as_dict() if obs is not None else {}
-        step_seconds: list[float] = []
         breakdowns: list[dict[str, float]] = []
         while sim.step_count < n_steps:
-            step_index = len(step_seconds)
+            step_index = len(breakdowns)
             if session is not None:
                 session.begin_step(step_index + 1)
             record = sim.step()
-            result = last_result["value"]
-            metrics = pair_trip_metrics(
-                n_atoms=config.n_atoms,
-                interacting_pairs=result.interacting_pairs,
-                workers=self.workers(),
-                branch_probabilities=branch_probs,
-            )
-            parts = self.step_seconds(metrics, step_index)
-            if session is not None:
-                recovery = session.drain_pending()
-                retries = session.drain_retries()
-                if retries:
-                    # Each recompute re-pays the whole step's kernel path.
-                    recovery += retries * sum(parts.values())
-                recovery += session.drain_carried()
-                if recovery > 0.0:
-                    parts = dict(parts)
-                    parts["fault_recovery"] = (
-                        parts.get("fault_recovery", 0.0) + recovery
-                    )
-            breakdowns.append(parts)
-            step_seconds.append(sum(parts.values()))
-            if obs is not None:
-                # A watchdog restore rewinds step_seconds but not the
-                # observation: the trace keeps the wasted work visible
-                # (that is the point of a timeline) and the counters keep
-                # charging real executed work.
-                self._observe_step(obs, metrics, parts, step_index)
+            breakdowns.append(self._price_step(
+                config, branch_probs, record.interacting_pairs, step_index,
+                session,
+            ))
             if session is not None:
                 assert watchdog is not None and manager is not None
                 if watchdog.observe(record.total_energy):
                     checkpoint = manager.last
                     assert checkpoint is not None
-                    wasted = float(sum(step_seconds[checkpoint.step :]))
+                    wasted = float(sum(
+                        sum(parts.values())
+                        for parts in breakdowns[checkpoint.step :]
+                    ))
                     try:
                         manager.note_restore()
                     except RestoreBudgetExceeded as exc:
@@ -311,23 +331,79 @@ class Device(abc.ABC):
                         watchdog.drift(record.total_energy),
                     )
                     sim.restore(checkpoint)
-                    del step_seconds[checkpoint.step :]
                     del breakdowns[checkpoint.step :]
                     continue
                 manager.maybe_take(sim)
 
+        return self._result(
+            config, n_steps, breakdowns, tuple(sim.records),
+            sim.state.positions, sim.state.velocities,
+            session, counter_baseline,
+        )
+
+    def _price_step(
+        self,
+        config: MDConfig,
+        branch_probs: dict[str, float],
+        interacting_pairs: int,
+        step_index: int,
+        session: FaultSession | None,
+    ) -> dict[str, float]:
+        """Price one completed step and observe it: kernel metrics from
+        the step's pair count, the device's cost model, any fault
+        recovery surcharge, then the counters and spans."""
+        metrics = pair_trip_metrics(
+            n_atoms=config.n_atoms,
+            interacting_pairs=interacting_pairs,
+            workers=self.workers(),
+            branch_probabilities=branch_probs,
+        )
+        parts = self.step_seconds(metrics, step_index)
+        if session is not None:
+            recovery = session.drain_pending()
+            retries = session.drain_retries()
+            if retries:
+                # Each recompute re-pays the whole step's kernel path.
+                recovery += retries * sum(parts.values())
+            recovery += session.drain_carried()
+            if recovery > 0.0:
+                parts = dict(parts)
+                parts["fault_recovery"] = (
+                    parts.get("fault_recovery", 0.0) + recovery
+                )
+        obs = self.observation
+        if obs is not None:
+            # A watchdog restore rewinds the breakdowns but not the
+            # observation: the trace keeps the wasted work visible (that
+            # is the point of a timeline) and the counters keep charging
+            # real executed work.
+            self._observe_step(obs, metrics, parts, step_index)
+        return parts
+
+    def _result(
+        self,
+        config: MDConfig,
+        n_steps: int,
+        breakdowns: list[dict[str, float]],
+        records: tuple[StepRecord, ...],
+        final_positions: np.ndarray,
+        final_velocities: np.ndarray,
+        session: FaultSession | None,
+        counter_baseline: dict[str, float],
+    ) -> DeviceRunResult:
+        obs = self.observation
         setup = self.setup_breakdown()
         return DeviceRunResult(
             device=self.name,
             config=config,
             n_steps=n_steps,
             setup_seconds=sum(setup.values()),
-            step_seconds=tuple(step_seconds),
+            step_seconds=tuple(sum(parts.values()) for parts in breakdowns),
             step_breakdowns=tuple(breakdowns),
             breakdown=merge_breakdowns(*breakdowns),
-            records=tuple(sim.records),
-            final_positions=np.array(sim.state.positions, copy=True),
-            final_velocities=np.array(sim.state.velocities, copy=True),
+            records=records,
+            final_positions=np.array(final_positions, copy=True),
+            final_velocities=np.array(final_velocities, copy=True),
             fault_events=tuple(session.log.to_dicts()) if session else (),
             fault_summary=session.summary() if session else {},
             counters=(

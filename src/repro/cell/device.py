@@ -139,6 +139,14 @@ class CellDevice(Device):
             self._sweep_cache[key] = sweep
         return sweep
 
+    def uses_shared_physics(self) -> bool:
+        """Fast mode prices the shared physics record; vm mode executes
+        the instruction-level kernel on every run."""
+        return (
+            self.mode == "fast"
+            and type(self).force_backend is CellDevice.force_backend
+        )
+
     def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
         if self.mode == "fast":
             return self.functional_backend(sim_box, potential)
@@ -416,9 +424,6 @@ class PPEOnlyDevice(Device):
 
     def prepare(self, config: MDConfig) -> None:
         self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {

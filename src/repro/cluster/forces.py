@@ -9,11 +9,17 @@ columns in column order and out-of-cutoff columns add exact zeros, so a
 row depends only on its cutoff partners, which the halo guarantees are
 present (:mod:`repro.cluster.decomposition`).  The backend then
 finishes as ``compute_forces`` does, with one ``0.5 * pe_rows.sum()``.
+
+:func:`decomposed_record` runs a decomposed trajectory once per
+(configuration, step count, K, halo width) and memoizes it with
+:func:`repro.md.physics.memoize`: the node device model is not part of
+the key, because the decomposed physics does not depend on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +27,15 @@ from repro.cluster.decomposition import ExchangePlan, SlabDecomposition
 from repro.md.box import PeriodicBox
 from repro.md.forces import _DEFAULT_BLOCK, ForceResult, _validate, pair_block
 from repro.md.lj import LennardJones
+from repro.md.physics import frozen_copy, memoize
+from repro.md.simulation import MDConfig, MDSimulation, StepRecord
 
 __all__ = [
+    "DecomposedRecord",
+    "NodeCounts",
     "NodeForces",
     "cluster_force_backend",
+    "decomposed_record",
     "node_force_contribution",
 ]
 
@@ -129,3 +140,62 @@ def cluster_force_backend(
         )
 
     return backend
+
+
+class NodeCounts(NamedTuple):
+    """The pair counts of one node's force contribution, for pricing."""
+
+    interacting: int
+    pairs_examined: int
+
+
+@dataclasses.dataclass(frozen=True)
+class DecomposedRecord:
+    """One decomposed trajectory: per-step exchange plans and node
+    pair counts, the step records and the final state."""
+
+    decomposition: SlabDecomposition
+    #: ``n_steps + 1`` plans, the initial force evaluation's first
+    plans: tuple[ExchangePlan, ...]
+    #: per step, per node
+    node_counts: tuple[tuple[NodeCounts, ...], ...]
+    records: tuple[StepRecord, ...]
+    final_positions: np.ndarray
+    final_velocities: np.ndarray
+
+
+@memoize
+def decomposed_record(
+    config: MDConfig, n_steps: int, n_nodes: int, halo_width: float
+) -> DecomposedRecord:
+    """``n_steps`` of ``config`` through :func:`cluster_force_backend`
+    over ``n_nodes`` slabs with halo ``halo_width``, memoized."""
+    box = config.make_box()
+    decomposition = SlabDecomposition(box, n_nodes, halo_width)
+    latest: dict[str, object] = {}
+
+    def collector(plan: ExchangePlan, per_node: tuple[NodeForces, ...]):
+        latest["plan"] = plan
+        latest["counts"] = tuple(
+            NodeCounts(nf.interacting, nf.pairs_examined) for nf in per_node
+        )
+
+    backend = cluster_force_backend(
+        decomposition, box, config.make_potential(),
+        dtype=config.np_dtype, collector=collector,
+    )
+    sim = MDSimulation(config, force_backend=backend)
+    plans: list = [latest["plan"]]
+    node_counts: list = []
+    for _ in range(n_steps):
+        sim.step()
+        plans.append(latest["plan"])
+        node_counts.append(latest["counts"])
+    return DecomposedRecord(
+        decomposition=decomposition,
+        plans=tuple(plans),
+        node_counts=tuple(node_counts),
+        records=tuple(sim.records),
+        final_positions=frozen_copy(sim.state.positions),
+        final_velocities=frozen_copy(sim.state.velocities),
+    )

@@ -1,9 +1,11 @@
 """The simulated cluster: K device nodes, one slab each, priced per step.
 
-:class:`SimulatedCluster` runs the MD physics through the decomposed
-force backend (bit-identical to the single-node run — see
-:mod:`repro.cluster.forces`) and prices each step as a bulk-synchronous
-superstep:
+:class:`SimulatedCluster` takes the MD physics from the decomposed
+trajectory record (:func:`repro.cluster.forces.decomposed_record`,
+bit-identical to the single-node run and computed once per
+configuration, step count, K and halo width — node device models that
+share a precision share it) and prices each step per node device as a
+bulk-synchronous superstep:
 
 1. **ghost exchange** — every node sends its boundary atoms to the
    neighbors whose halo demands them, plus the canonical records of
@@ -23,8 +25,9 @@ Fault sites: ``cluster.link.drop`` (an exchange message times out and
 the phase is resent, retry-with-backoff) and ``cluster.node.straggler``
 (one node's compute runs ``payload["factor"]`` times slower this step;
 the barrier absorbs it).  Both are timing-level — ghosts are re-read
-from pristine owner data, so the physics is never corrupted and a
-zero-rate plan is bit-identical to ``faults=None``.
+from pristine owner data, so the physics is never corrupted: a faulted
+run prices the same record as a clean one, and a zero-rate plan is
+bit-identical to ``faults=None``.
 """
 
 from __future__ import annotations
@@ -39,15 +42,11 @@ from repro.arch import calibration as cal
 from repro.arch.device import Device, merge_breakdowns
 from repro.arch.interconnect import ClusterFabric, make_cluster_fabric
 from repro.arch.profilecounts import KernelMetrics
-from repro.cluster.decomposition import (
-    DEFAULT_HALO_SKIN,
-    ExchangePlan,
-    SlabDecomposition,
-)
-from repro.cluster.forces import NodeForces, cluster_force_backend
+from repro.cluster.decomposition import DEFAULT_HALO_SKIN, ExchangePlan
+from repro.cluster.forces import NodeCounts, decomposed_record
 from repro.faults.plan import FaultPlan
 from repro.faults.session import FaultSession
-from repro.md.simulation import MDConfig, MDSimulation, StepRecord
+from repro.md.simulation import MDConfig, StepRecord
 from repro.obs.context import ambient_observation
 from repro.obs.observe import Observation
 
@@ -206,7 +205,7 @@ class SimulatedCluster:
         self,
         domain_owned: int,
         domain_local: int,
-        node_forces: NodeForces,
+        node_forces: NodeCounts,
         workers: int,
         branch_probs: dict[str, float],
     ) -> KernelMetrics:
@@ -244,7 +243,7 @@ class SimulatedCluster:
         box = config.make_box()
         potential = config.make_potential()
         halo_width = min(potential.rcut + self.halo_skin, box.half_length)
-        decomposition = SlabDecomposition(box, self.n_nodes, halo_width)
+        physics = decomposed_record(config, n_steps, self.n_nodes, halo_width)
         bytes_per_atom = ghost_bytes_per_atom(devices[0].precision)
         migrate_bpa = migration_bytes_per_atom(devices[0].precision)
 
@@ -256,23 +255,7 @@ class SimulatedCluster:
         else:
             obs = observe
         counter_baseline = obs.counters.as_dict() if obs is not None else {}
-
-        holder: dict[str, Any] = {}
-
-        def collector(plan: ExchangePlan, per_node: tuple[NodeForces, ...]):
-            holder["plan"] = plan
-            holder["per_node"] = per_node
-
-        backend = cluster_force_backend(
-            decomposition, box, potential,
-            dtype=config.np_dtype, collector=collector,
-        )
-        if session is not None:
-            session.enabled = False  # no draws during the initial eval
-        sim = MDSimulation(config, force_backend=backend)
-        if session is not None:
-            session.enabled = True
-        prev_owners = holder["plan"].owners
+        prev_owners = physics.plans[0].owners
         branch_probs = devices[0].branch_probabilities(config)
 
         step_seconds: list[float] = []
@@ -283,16 +266,14 @@ class SimulatedCluster:
         if obs is not None:
             obs.charge("cluster.nodes", self.n_nodes)
 
-        while sim.step_count < n_steps:
-            step_index = len(step_seconds)
+        for step_index in range(n_steps):
             if session is not None:
                 session.begin_step(step_index + 1)
-            sim.step()
-            plan: ExchangePlan = holder["plan"]
-            per_node: tuple[NodeForces, ...] = holder["per_node"]
+            plan = physics.plans[step_index + 1]
+            per_node = physics.node_counts[step_index]
 
             # -- exchange phase -------------------------------------------
-            migration = decomposition.migration_messages(
+            migration = physics.decomposition.migration_messages(
                 prev_owners, plan.owners
             )
             prev_owners = plan.owners
@@ -401,9 +382,9 @@ class SimulatedCluster:
             node_step_seconds=tuple(node_step_seconds),
             breakdown=merge_breakdowns(*breakdowns),
             ledger=tuple(ledger),
-            records=tuple(sim.records),
-            final_positions=np.array(sim.state.positions, copy=True),
-            final_velocities=np.array(sim.state.velocities, copy=True),
+            records=physics.records,
+            final_positions=np.array(physics.final_positions, copy=True),
+            final_velocities=np.array(physics.final_velocities, copy=True),
             halo_width=halo_width,
             bytes_per_atom=bytes_per_atom,
             fault_events=tuple(session.log.to_dicts()) if session else (),
@@ -420,7 +401,7 @@ class SimulatedCluster:
         obs: Observation,
         entry: ClusterStepLedger,
         plan: ExchangePlan,
-        per_node: tuple[NodeForces, ...],
+        per_node: tuple[NodeCounts, ...],
         node_compute: list[float],
         node_interior: list[float],
         exchange_s: float,

@@ -275,6 +275,14 @@ class GpuDevice(Device):
             self._shader_cache[key] = build_md_shader(box_length)
         return self._shader_cache[key]
 
+    def uses_shared_physics(self) -> bool:
+        """Fast mode prices the shared physics record; vm mode executes
+        the instruction-level kernel on every run."""
+        return (
+            self.mode == "fast"
+            and type(self).force_backend is GpuDevice.force_backend
+        )
+
     def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
         if self.mode == "fast":
             return self.functional_backend(sim_box, potential)

@@ -34,8 +34,6 @@ from repro.arch.device import Device
 from repro.arch.profilecounts import KernelMetrics
 from repro.gpu.device import make_pcie_bus
 from repro.gpu.kernels import build_md_shader
-from repro.md.box import PeriodicBox
-from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.vm.schedule import count_issues
@@ -127,9 +125,6 @@ class NextGenGpuDevice(Device):
 
     def prepare(self, config: MDConfig) -> None:
         self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
 
     def _shader(self, box_length: float):
         key = round(box_length, 12)

@@ -17,8 +17,6 @@ import numpy as np
 from repro.arch import calibration as cal
 from repro.arch.device import Device
 from repro.arch.profilecounts import KernelMetrics
-from repro.md.box import PeriodicBox
-from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
 from repro.mta.compiler import CompilationReport, compile_nest
 from repro.mta.fullempty import SynchronizedReduction
@@ -77,9 +75,6 @@ class MTADevice(Device):
 
     def prepare(self, config: MDConfig) -> None:
         self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {"reflect_take": self.reflect_take}

@@ -6,8 +6,6 @@ from repro.arch import calibration as cal
 from repro.arch.clock import Clock
 from repro.arch.device import Device
 from repro.arch.profilecounts import KernelMetrics
-from repro.md.box import PeriodicBox
-from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.opteron.costmodel import cache_scan_stats, cache_stall_cycles_per_pair
@@ -48,9 +46,6 @@ class OpteronDevice(Device):
 
     def prepare(self, config: MDConfig) -> None:
         self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {"reflect_take": self.reflect_take}

@@ -81,10 +81,15 @@ def _drift(records) -> float:
 
 def _best_wall(run: Callable[[], Any], repeats: int) -> tuple[float, Any]:
     """Best-of-``repeats`` wall seconds (after one warm-up call)."""
+    from repro.md.physics import clear_memo
+
     run()  # warm-up: program builds, closure compiles, pool allocation
     best = math.inf
     result = None
     for _ in range(max(1, repeats)):
+        # A memoized trajectory would time the pricing alone; the knobs
+        # under test change how the physics is computed.
+        clear_memo()
         start = time.perf_counter()
         result = run()
         best = min(best, time.perf_counter() - start)

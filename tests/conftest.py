@@ -6,6 +6,16 @@ import numpy as np
 import pytest
 
 from repro.md import MDConfig, cubic_lattice
+from repro.md.physics import clear_memo
+
+
+@pytest.fixture(autouse=True)
+def _fresh_physics_memo():
+    """Every test starts with an empty trajectory memo, so no test's
+    outcome depends on which trajectories earlier tests computed."""
+    clear_memo()
+    yield
+    clear_memo()
 
 
 @pytest.fixture
