@@ -6,7 +6,7 @@ CLI in an isolated runs directory:
 
 1. ``harness tune --quick --only tunesweep-vm`` must produce a tuned
    artifact under ``<runs>/tuned/`` whose winner beats the defaults
-   (fused VM execution vs the interpreter — a large, robust margin),
+   (compiled VM execution vs the interpreter — a large, robust margin),
 2. ``harness run --quick --only tunesweep`` must auto-load that config:
    the stored run record carries the tuned-config fingerprint,
 3. a second ``harness tune`` of the same scenario must short-circuit on
@@ -64,7 +64,7 @@ def main() -> int:
             )
         if not artifact.get("values"):
             raise SystemExit(
-                "FAIL: tuner adopted no values (expected fused VM execution "
+                "FAIL: tuner adopted no values (expected compiled VM execution "
                 "to beat the interpreter)"
             )
         print(

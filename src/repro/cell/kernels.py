@@ -408,9 +408,10 @@ def build_spe_timestep_kernel(
     computes its interaction force exactly as :func:`build_spe_kernel`,
     and the ``integrate`` segment advances the row's own atom with it.
     The force flows to the integrator through the ``acc_out`` register —
-    an SSA value under the ``fused`` backend (no ``env`` round trip), a
-    declared-output handoff under ``interp``/``compiled`` — which is
-    what makes this the cross-segment-fusion workload.
+    an SSA value in the ``compiled`` whole-program closure (no ``env``
+    round trip), a declared-output handoff under ``interp`` and
+    per-segment execution — which is what makes this the
+    cross-segment-fusion workload.
     """
     flags = OptimizationFlags.for_level(level)
     a = Asm()

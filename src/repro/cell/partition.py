@@ -84,11 +84,18 @@ class PartitionTiming:
 
     @property
     def imbalance(self) -> float:
-        """max/mean - 1: zero for a perfectly balanced step."""
-        mean = self.mean_seconds
-        if mean == 0.0:
+        """max/mean - 1: zero for a perfectly balanced step.
+
+        Evaluated as ``sum(max - s) / sum(s)``: each term is a float
+        difference of ``max >= s``, never negative, so the result is
+        ``>= 0`` by construction.  ``max / mean - 1`` is not — the mean
+        of equal values can round above their max.
+        """
+        total = sum(self.per_spe_seconds)
+        if total == 0.0:
             return 0.0
-        return self.step_seconds / mean - 1.0
+        step = self.step_seconds
+        return sum(step - s for s in self.per_spe_seconds) / total
 
 
 def partitioned_kernel_seconds(

@@ -194,70 +194,3 @@ class SpePairSweep:
                 axis=1, dtype=np.float32
             )
         return acc, pe
-
-    def run_replicas(
-        self,
-        positions: np.ndarray,
-        rows: np.ndarray,
-        constants: dict[str, float],
-        row_block: int = 128,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched multi-replica sweep: R position sets, one VM program run.
-
-        ``positions`` is (R, n, 3) — R independent replicas (different
-        seeds/temperatures; the box and potential are shared, since the
-        SPE kernels bake the box length into their reflection
-        immediates).  Replica r occupies rows ``r*B .. (r+1)*B-1`` of
-        the pair batch, so under the ``fused`` backend all replicas
-        execute through one closure call per block; other backends fall
-        back to a per-replica loop inside :meth:`Machine.run_program`
-        with bit-identical results.  Returns ``(acc (R, rows, 3),
-        pe (R, rows))``, each replica's slice bit-identical to a
-        single-replica :meth:`run`.
-        """
-        positions32 = np.asarray(positions, dtype=np.float32)
-        if positions32.ndim != 3:
-            raise ValueError(
-                f"expected (replicas, n, 3) positions, got {positions32.shape}"
-            )
-        replicas, n, _ = positions32.shape
-        rows = np.asarray(rows, dtype=np.intp)
-        acc = np.zeros((replicas, rows.size, 3), dtype=np.float32)
-        pe = np.zeros((replicas, rows.size), dtype=np.float32)
-        machine = self.machine
-
-        for start in range(0, rows.size, row_block):
-            block = rows[start : start + row_block]
-            # Per replica: (block rows) x (all j) pairs; replicas stack
-            # along the row axis in replica order.
-            xi = np.concatenate(
-                [np.repeat(positions32[r, block], n, axis=0) for r in range(replicas)]
-            )
-            xj = np.concatenate(
-                [np.tile(positions32[r], (block.size, 1)) for r in range(replicas)]
-            )
-            j_index = np.tile(np.arange(n), block.size)
-            i_index = np.repeat(block, n)
-            self_rows = np.tile(i_index == j_index, replicas)
-            xj[self_rows, 0] += 1.0e3
-            env: dict[str, np.ndarray] = {
-                "xi": machine.load_vec3(xi),
-                "xj": machine.load_vec3(xj),
-            }
-            batch = env["xi"].shape[0]
-            env.update(self._block_env(batch, constants))
-            self_flag = env["self_flag"]
-            self_flag.fill(0.0)
-            self_flag[self_rows] = 1.0
-
-            machine.run_program(self.program, env, replicas=replicas)
-
-            fvec = env["acc_out"].reshape(replicas, block.size, n, machine.width)
-            pe_pair = env["pe_out"].reshape(replicas, block.size, n, machine.width)
-            acc[:, start : start + block.size] = fvec[:, :, :, :3].sum(
-                axis=2, dtype=np.float32
-            )
-            pe[:, start : start + block.size] = pe_pair[:, :, :, 0].sum(
-                axis=2, dtype=np.float32
-            )
-        return acc, pe

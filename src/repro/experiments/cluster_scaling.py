@@ -174,11 +174,3 @@ def run(
             "run, which matches the plain device trajectory.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

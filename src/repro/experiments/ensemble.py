@@ -1,17 +1,16 @@
-"""Batched multi-replica ensemble through the fused VM backend.
+"""Batched multi-replica ensemble through the compiled VM backend.
 
 Ensemble methods (replica exchange, independent-seed sampling) run R
-copies of the same kernel over different state.  The fused backend
+copies of the same kernel over different state.  The compiled backend
 stacks the R replicas along the VM's batch axis and executes the whole
-timestep — every force segment plus integration — as *one* compiled
-closure per step, where the PR-3 compiled backend loops replica by
-replica with a per-segment dispatch each.
+timestep — every force segment plus integration — as *one* closure
+call per step, where sequential execution makes one call per replica.
 
 The experiment certifies the three claims that make that optimization
 safe to use:
 
-* **throughput** — fused-batched execution beats compiled-sequential on
-  replicas-per-second (the strict ≥2x-at-R≥8 gate lives in
+* **throughput** — compiled-batched execution beats compiled-sequential
+  on replicas-per-second (the strict ≥2x-at-R≥8 gate lives in
   ``scripts/record_bench.py --ensemble --check`` / ``BENCH_vm2.json``;
   the roster check uses a looser band so a loaded CI box cannot flake
   the whole run),
@@ -37,15 +36,12 @@ from repro.vm.bench import (
     ensemble_speedups,
     timestep_env,
 )
-from repro.vm.machine import Machine
+from repro.vm.machine import EXEC_BACKENDS, Machine
 
 __all__ = ["DESCRIPTION", "run"]
 
 #: One-line roster description (``--list`` / harness job metadata).
-DESCRIPTION = "batched replica ensemble: fused-VM throughput, bit-identity, counters"
-
-#: Every execution backend the differential sweep compares.
-_BACKENDS = ("interp", "compiled", "fused")
+DESCRIPTION = "batched replica ensemble: compiled-VM throughput, bit-identity, counters"
 
 
 def _replica_ladder(replicas: int) -> tuple[int, ...]:
@@ -91,26 +87,26 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
     rows = []
     for r in ladder:
         seq = by_key[(r, "compiled-sequential")]
-        fused = by_key[(r, "fused-batched")]
+        batched = by_key[(r, "compiled-batched")]
         rows.append((
             r,
             n_rows,
             round(seq.best_seconds * 1e3, 4),
-            round(fused.best_seconds * 1e3, 4),
+            round(batched.best_seconds * 1e3, 4),
             round(seq.replicas_per_second, 1),
-            round(fused.replicas_per_second, 1),
+            round(batched.replicas_per_second, 1),
             round(ratios[r], 3),
         ))
 
     # -- differential net: batched vs sequential, all backends ----------
     batch = replicas * n_rows
-    reference = Machine(width=4, dtype=np.float32, exec_backend="fused")
+    reference = Machine(width=4, dtype=np.float32, exec_backend="compiled")
     base_env = timestep_env(reference, batch, constants)
-    fused_out = reference.run_program(program, dict(base_env), replicas=replicas)
+    batched_out = reference.run_program(program, dict(base_env), replicas=replicas)
     batched_counters = _vm_counters(reference)
 
     max_deviation = 0.0
-    for backend in _BACKENDS:
+    for backend in EXEC_BACKENDS:
         machine = Machine(width=4, dtype=np.float32, exec_backend=backend)
         for index in range(replicas):
             sub = {
@@ -119,13 +115,12 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
             }
             out = machine.run_program(program, dict(sub), replicas=1)
             for name in program.outputs:
-                expect = fused_out[name][index * n_rows : (index + 1) * n_rows]
+                expect = batched_out[name][index * n_rows : (index + 1) * n_rows]
                 delta = np.abs(out[name] - expect)
                 if delta.size:
                     max_deviation = max(max_deviation, float(delta.max()))
 
     # -- counter additivity: merge R per-replica windows ----------------
-    sequential = Machine(width=4, dtype=np.float32, exec_backend="compiled")
     merged_counters = CounterSet()
     for index in range(replicas):
         sub = {
@@ -135,7 +130,6 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
         window = Machine(width=4, dtype=np.float32, exec_backend="compiled")
         window.run_program(program, dict(sub), replicas=1)
         merged_counters.merge(_vm_counters(window))
-        sequential.run_program(program, dict(sub), replicas=1)
 
     # vm.programs measures dispatches, which batching *reduces* (1 vs R)
     # — it is excluded from the additivity comparison by design.
@@ -155,7 +149,7 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
             low=1.2,
             high=1.0e3,
             paper_value=2.0,
-            description=f"fused-batched over compiled-sequential replicas/sec "
+            description=f"compiled-batched over compiled-sequential replicas/sec "
             f"at R={replicas} (strict >=2x gate: BENCH_vm2.json)",
         ),
         ShapeCheck(
@@ -165,7 +159,7 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
             high=0.0,
             paper_value=0.0,
             description="batched replicas bit-identical to sequential runs "
-            "under interp, compiled, and fused backends (max |delta|)",
+            "under the interp and compiled backends (max |delta|)",
         ),
         ShapeCheck(
             key="ensemble_counter_additivity",
@@ -186,26 +180,18 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
             "replicas",
             "rows/replica",
             "seq_ms",
-            "fused_ms",
+            "batched_ms",
             "seq_rps",
-            "fused_rps",
+            "batched_rps",
             "speedup",
         ),
         rows=tuple(rows),
         checks=checks,
         notes=(
             "Workload: spe_md_timestep_simd_acceleration — pair forces + "
-            "integration fused into one closure, no per-segment dispatch.",
+            "integration in one compiled closure, no per-segment dispatch.",
             f"The batched run used {dispatches} program dispatch(es) where "
             f"sequential execution uses {replicas}; vm.programs records the "
             "reduction and is excluded from the additivity check.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

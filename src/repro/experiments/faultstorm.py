@@ -154,11 +154,3 @@ def run(
             "across the roster.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

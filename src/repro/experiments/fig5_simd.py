@@ -87,11 +87,3 @@ def run(n_atoms: int = 2048, n_steps: int = PAPER_STEPS) -> ExperimentResult:
             "instruction streams of the six kernel variants.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -78,11 +78,3 @@ def run(n_atoms: int = 2048, n_steps: int = PAPER_STEPS) -> ExperimentResult:
             "mailbox signalling, as in the paper's fix.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

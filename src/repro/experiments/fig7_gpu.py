@@ -89,11 +89,3 @@ def run(
             "included, exactly as the paper accounts them.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -88,11 +88,3 @@ def run(
             "repro.mta.compiler).",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -137,11 +137,3 @@ def run(
             "caches to overflow.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -160,11 +160,3 @@ def run(
             "key when run through repro.service.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

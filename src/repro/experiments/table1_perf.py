@@ -71,11 +71,3 @@ def run(n_atoms: int = 2048, n_steps: int = PAPER_STEPS) -> ExperimentResult:
             "repro/experiments/paperdata.py.",
         ),
     )
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

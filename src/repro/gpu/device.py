@@ -85,7 +85,6 @@ class GpuPairSweep:
         )
         self._env_cache: dict[int, dict[str, np.ndarray]] = {}
         self._env_constants: tuple | None = None
-        self._replica_env_cache: dict[tuple, dict[str, np.ndarray]] = {}
 
     @staticmethod
     def _resolve_row_block(row_block: int | None) -> int:
@@ -151,100 +150,6 @@ class GpuPairSweep:
             out = env["acc_out"].reshape(rows.size, n, machine.width)
             acc[rows] = out[:, :, :3].sum(axis=1, dtype=np.float32)
             pe[rows] = out[:, :, 3].sum(axis=1, dtype=np.float32)
-        return acc, pe
-
-    def _replica_block_env(
-        self, batch: int, constants: tuple[dict[str, float], ...]
-    ) -> dict[str, np.ndarray]:
-        """Constant registers for a replica-stacked batch, cached.
-
-        Unlike the SPE kernels — whose box length is baked into
-        reflection immediates — the shader reads its box from ``boxL``/
-        ``invL`` *registers*, so replicas may differ in any constant:
-        replica r's value fills its row range ``r*B .. (r+1)*B-1``.
-        """
-        key = (batch, tuple(tuple(sorted(c.items())) for c in constants))
-        cached = self._replica_env_cache.get(key)
-        if cached is None:
-            machine = self.machine
-            replicas = len(constants)
-            rows = batch // replicas
-            names = constants[0].keys()
-            cached = {}
-            for name in names:
-                reg = machine.make_register(batch, 0.0)
-                for index, per_replica in enumerate(constants):
-                    reg[index * rows : (index + 1) * rows] = np.float32(
-                        per_replica[name]
-                    )
-                cached[name] = reg
-            cached["zero"] = machine.make_register(batch, 0.0)
-            cached["tiny"] = machine.make_register(batch, 1.0e-12)
-            cached["self_flag"] = machine.make_register(batch, 0.0)
-            if len(self._replica_env_cache) > 8:
-                self._replica_env_cache.clear()
-            self._replica_env_cache[key] = cached
-        return cached
-
-    def run_replicas(
-        self,
-        positions: np.ndarray,
-        constants,
-        row_block: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched multi-replica rasterization: R position sets at once.
-
-        ``positions`` is (R, n, 3); ``constants`` is either one dict
-        shared by every replica or a sequence of R dicts (replicas may
-        run different box sizes — the shader's constants are registers).
-        Replica r occupies rows ``r*B .. (r+1)*B-1``; the ``fused``
-        backend executes all replicas per block in one closure call,
-        other backends loop per replica with bit-identical results.
-        Returns ``(acc (R, n, 3), pe (R, n))``.
-        """
-        row_block = self._resolve_row_block(row_block)
-        positions32 = np.asarray(positions, dtype=np.float32)
-        if positions32.ndim != 3:
-            raise ValueError(
-                f"expected (replicas, n, 3) positions, got {positions32.shape}"
-            )
-        replicas, n, _ = positions32.shape
-        if isinstance(constants, dict):
-            constants = (constants,) * replicas
-        else:
-            constants = tuple(constants)
-        if len(constants) != replicas:
-            raise ValueError(
-                f"{len(constants)} constant sets for {replicas} replicas"
-            )
-        machine = self.machine
-        acc = np.zeros((replicas, n, 3), dtype=np.float32)
-        pe = np.zeros((replicas, n), dtype=np.float32)
-        for start in range(0, n, row_block):
-            stop = min(start + row_block, n)
-            rows = np.arange(start, stop)
-            xi = np.concatenate(
-                [np.repeat(positions32[r, rows], n, axis=0) for r in range(replicas)]
-            )
-            xj = np.concatenate(
-                [np.tile(positions32[r], (rows.size, 1)) for r in range(replicas)]
-            )
-            j_index = np.tile(np.arange(n), rows.size)
-            i_index = np.repeat(rows, n)
-            self_rows = np.tile(i_index == j_index, replicas)
-            env: dict[str, np.ndarray] = {
-                "xi": machine.load_vec3(xi),
-                "xj": machine.load_vec3(xj),
-            }
-            batch = env["xi"].shape[0]
-            env.update(self._replica_block_env(batch, constants))
-            self_flag = env["self_flag"]
-            self_flag.fill(0.0)
-            self_flag[self_rows] = 1.0
-            machine.run_program(self.shader.program, env, replicas=replicas)
-            out = env["acc_out"].reshape(replicas, rows.size, n, machine.width)
-            acc[:, rows] = out[:, :, :, :3].sum(axis=2, dtype=np.float32)
-            pe[:, rows] = out[:, :, :, 3].sum(axis=2, dtype=np.float32)
         return acc, pe
 
 

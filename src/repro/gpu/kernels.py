@@ -122,8 +122,8 @@ def build_gpu_timestep_shader(box_length: float) -> Program:
     two segments of one program.  ``acc_out`` carries (fx, fy, fz, pe);
     the integrator masks the PE lane to zero before the kick so the
     velocity's padding lane stays clean, then ``vi' = vi + a*dt`` and
-    ``xi' = xi + vi'*dt``.  Under the ``fused`` backend the acceleration
-    never round-trips through a render target — the exact dispatch the
+    ``xi' = xi + vi'*dt``.  In the ``compiled`` whole-program closure the
+    acceleration never round-trips through a render target — the exact dispatch the
     whole-timestep fusion removes.
     """
     a = Asm()

@@ -199,13 +199,13 @@ def _cell(box, potential, dtype, **options):
 
 # -- tunable knobs -----------------------------------------------------
 #
-# Declared here, consumed by Device.functional_backend: each backend's
-# scheduling options map to a dotted knob name the tuner may search.
-# None of these change the physics.  The all-pairs result is bitwise
+# Declared here, consumed by Device.functional_backend: a backend's
+# scheduling option maps to a dotted knob name the tuner may search.
+# It does not change the physics: the all-pairs result is bitwise
 # independent of md.block (27image sums its energy per block, so there
-# it can move the last bits), and skin/buffer/rebuild-delay only trade
-# list rebuilds against extra candidate pairs; every neighbor inside
-# the cutoff is still found.
+# it can move the last bits).  The Verlet/cell list options (skin,
+# buffer, rebuild delay) are factory options only: no tune scenario
+# searches them.
 
 register_tunable(TunableSpec(
     name="md.block",
@@ -219,41 +219,6 @@ register_tunable(TunableSpec(
     effect="larger blocks amortize Python loop overhead until the "
            "(block x N) distance matrix falls out of cache",
 ))
-register_tunable(TunableSpec(
-    name="md.skin",
-    backend="md",
-    kind="float",
-    default=0.3,
-    candidates=(0.1, 0.2, 0.3, 0.45, 0.6),
-    low=0.01,
-    high=2.0,
-    description="Verlet neighbor-list skin radius (sigma units)",
-    effect="thicker skin -> fewer rebuilds but more candidate pairs "
-           "per force evaluation",
-))
-register_tunable(TunableSpec(
-    name="md.cell_buffer",
-    backend="md",
-    kind="float",
-    default=0.3,
-    candidates=(0.1, 0.2, 0.3, 0.45, 0.6),
-    low=0.01,
-    high=2.0,
-    description="linked-cell list buffer width (sigma units)",
-    effect="wider buffer -> fewer cell rebuilds but larger cells to scan",
-))
-register_tunable(TunableSpec(
-    name="md.rebuild_delay",
-    backend="md",
-    kind="int",
-    default=1,
-    candidates=(1, 2, 4, 8),
-    low=1,
-    high=64,
-    description="steps between linked-cell displacement checks",
-    effect="longer delay skips distance checks; the buffer still "
-           "guarantees correctness between rebuilds",
-))
 
 #: force-backend name -> {factory option: knob name}; the hook
 #: :func:`tuned_backend_options` uses to translate active tuned values
@@ -261,8 +226,6 @@ register_tunable(TunableSpec(
 TUNED_OPTION_MAP: dict[str, dict[str, str]] = {
     "all-pairs": {"block": "md.block"},
     "27image": {"block": "md.block"},
-    "verlet": {"skin": "md.skin"},
-    "cell": {"buffer": "md.cell_buffer", "rebuild_check_delay": "md.rebuild_delay"},
 }
 
 

@@ -56,8 +56,8 @@ def build_mta_timestep_program(box_length: float) -> Program:
 
     The MTA-2 runs both phases from the same C source with no kernel
     relaunch between them, so the whole-timestep form is the natural
-    unit for its issue accounting — and for the ``fused`` VM backend,
-    where the integration consumes ``acc_out`` as an SSA value instead
+    unit for its issue accounting — and for whole-program ``compiled``
+    VM execution, where the integration consumes ``acc_out`` as an SSA value instead
     of re-reading the acceleration array.  Each batch row is one
     independent pair system, as in the SPE/GPU timestep kernels.
     """

@@ -134,7 +134,7 @@ def _populate() -> None:
         # -- VM-measured branch statistics (vm-mode functional paths) --
         ("vm.segments", "count", "vm", "VM segment executions"),
         ("vm.programs", "count", "vm",
-         "whole-program VM dispatches (one per fused timestep batch)"),
+         "whole-program VM dispatches (one per run_program call)"),
         ("vm.replicas", "count", "vm",
          "replica-steps executed through run_program (additive: a "
          "batched R-replica run charges R, same as R sequential runs)"),

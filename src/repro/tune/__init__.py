@@ -1,7 +1,7 @@
 """Closed-loop autotuning over the harness and the counter stream.
 
 The paper's per-device throughput hinges on hand-picked parameters —
-SPE row partition, GPU batch width, neighbor-list skin and cell sizes —
+SPE row partition, GPU batch width, MTA stream count, VM backend —
 and the related Cell/GPU MD ports show such knobs swing throughput by
 integer factors.  This package closes the loop the observability layer
 opened: each backend *declares* its tunable knobs in a typed

@@ -46,7 +46,7 @@ _DECLARING_MODULES = (
 class TunableSpec:
     """One knob: name, home backend, bounds, and the probe grid."""
 
-    #: dotted name, ``<family>.<knob>`` (e.g. ``md.skin``, ``vm.exec``)
+    #: dotted name, ``<family>.<knob>`` (e.g. ``md.block``, ``vm.exec``)
     name: str
     #: backend family that consumes it (md/cell/gpu/mta/vm)
     backend: str

@@ -1,9 +1,9 @@
 """The batched SIMD virtual machine: ISA, programs, scheduler, executors.
 
-Execution comes in three interchangeable backends — the reference
-interpreter, the per-segment codegen backend, and the whole-program
-``fused`` backend with replica batching, all in
-:mod:`repro.vm.compile` — chosen per :class:`Machine` (see
+Execution comes in two interchangeable backends — the reference
+interpreter and the ``compiled`` codegen backend of
+:mod:`repro.vm.compile`, which runs a segment or a whole program (with
+replica batching) as one closure — chosen per :class:`Machine` (see
 :func:`resolve_exec_backend`).
 """
 

@@ -160,7 +160,7 @@ def bench_kernels(
 class EnsembleBench:
     """One (replica count, execution mode) whole-timestep measurement."""
 
-    mode: str  # "compiled-sequential" | "fused-batched"
+    mode: str  # "compiled-sequential" | "compiled-batched"
     replicas: int
     rows_per_replica: int
     repeats: int
@@ -201,15 +201,6 @@ def timestep_env(
     return env
 
 
-#: (mode label, exec backend) pairs the ensemble benchmark compares: the
-#: PR-3 compiled backend looping replica by replica, vs one fused
-#: whole-program closure over the replica-stacked batch.
-ENSEMBLE_MODES = (
-    ("compiled-sequential", "compiled"),
-    ("fused-batched", "fused"),
-)
-
-
 def bench_ensemble(
     replica_counts: Iterable[int] = (1, 2, 4, 8, 16),
     rows_per_replica: int = 256,
@@ -219,26 +210,34 @@ def bench_ensemble(
 
     Each replica is ``rows_per_replica`` independent dimer systems; the
     batch stacks R replicas along the row axis.  ``compiled-sequential``
-    is :meth:`Machine.run_program` on the compiled backend (loops
-    replica by replica over row slices — the PR-3 execution model);
-    ``fused-batched`` runs the same batch through one whole-program
-    closure.  Outputs are bit-identical (``tests/vm/test_fused.py``), so
-    the ratio is pure dispatch/vectorization win.
+    makes R :meth:`Machine.run_program` calls with ``replicas=1``, one
+    per replica's row slice; ``compiled-batched`` makes one call with
+    ``replicas=R``.  Outputs are bit-identical
+    (``tests/vm/test_fused.py``), so the ratio is pure dispatch and
+    vectorization win.
     """
     program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
     constants = timestep_constants(LennardJones(), dt=0.005)
     results = []
     for replicas in replica_counts:
-        batch = replicas * rows_per_replica
-        for mode, backend in ENSEMBLE_MODES:
-            machine = Machine(width=4, dtype=np.float32, exec_backend=backend)
-            env = timestep_env(machine, batch, constants)
-
-            def run():
-                # Fresh dict per call: replica merging rebinds output
-                # names; the input arrays themselves are never mutated.
-                return machine.run_program(program, dict(env), replicas=replicas)
-
+        rows = rows_per_replica
+        machine = Machine(width=4, dtype=np.float32, exec_backend="compiled")
+        env = timestep_env(machine, replicas * rows, constants)
+        slices = [
+            {name: reg[r * rows : (r + 1) * rows] for name, reg in env.items()}
+            for r in range(replicas)
+        ]
+        # Fresh dicts per call: the closure rebinds output names; the
+        # input arrays themselves are never mutated.
+        runs = {
+            "compiled-sequential": lambda: [
+                machine.run_program(program, dict(sub)) for sub in slices
+            ],
+            "compiled-batched": lambda: machine.run_program(
+                program, dict(env), replicas=replicas
+            ),
+        }
+        for mode, run in runs.items():
             run()  # warm-up: compile + pool allocation untimed
             best = float("inf")
             for _ in range(repeats):
@@ -256,11 +255,11 @@ def bench_ensemble(
 
 
 def ensemble_speedups(results: Iterable[EnsembleBench]) -> dict[int, float]:
-    """fused-batched / compiled-sequential replicas-per-second, per R."""
+    """compiled-batched / compiled-sequential replicas-per-second, per R."""
     by_key = {(r.replicas, r.mode): r for r in results}
     ratios = {}
     for (replicas, mode), result in by_key.items():
-        if mode != "fused-batched":
+        if mode != "compiled-batched":
             continue
         baseline = by_key.get((replicas, "compiled-sequential"))
         if baseline is not None:

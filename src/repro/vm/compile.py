@@ -35,15 +35,15 @@ module removes all of it by *compiling* a segment once:
 
 Two compilation granularities share this pipeline:
 
-* :func:`compile_segment` lowers one named segment — the ``compiled``
-  backend's unit, dispatched per :meth:`Machine.run_segment` call.
+* :func:`compile_segment` lowers one named segment — the unit
+  :meth:`Machine.run_segment` dispatches.
 * :func:`compile_program` feeds *every* segment of a program through
   one :class:`_Flattener` in declaration order, so values flow across
   segment boundaries in SSA form (a force segment's ``acc_out`` is
   consumed by the integration segment without ever touching ``env``)
   and the liveness scan reuses buffer slots across those boundaries.
-  This is the ``fused`` backend's whole-timestep unit: one closure,
-  zero per-segment dispatch.
+  This is :meth:`Machine.run_program`'s whole-timestep unit: one
+  closure, zero per-segment dispatch.
 
 Replica batching: the emitted closure takes a ``replicas`` count.  The
 arithmetic needs nothing special — every operation is elementwise along
@@ -577,8 +577,9 @@ def _probe_const(machine, key: str, sample: float, batch: int, replicas: int) ->
 class CompiledSegment:
     """One compilation unit lowered to a fused closure plus its buffers.
 
-    The unit is either a single segment (the ``compiled`` backend) or a
-    whole program's segments fused end to end (the ``fused`` backend);
+    The unit is either a single segment (:meth:`Machine.run_segment`)
+    or a whole program's segments fused end to end
+    (:meth:`Machine.run_program`);
     :attr:`segment_names` lists what went in, :attr:`segment_name` is
     the ``+``-joined display form.
     """
@@ -785,7 +786,7 @@ def _compiled_unit_cached(
     # leading discriminator keeps a fused whole-program closure from
     # aliasing a per-segment entry of the same program — including the
     # single-segment case, where the segment-name tuple alone would be
-    # identical under both backends.
+    # identical at both granularities.
     return _compile_unit(program, scope[1:], width, np.dtype(dtype_str))
 
 
@@ -842,7 +843,7 @@ def compiled_program(
     width: int,
     dtype: np.dtype | type = np.float32,
 ) -> CompiledSegment:
-    """The cached whole-program entry point for the ``fused`` backend."""
+    """The cached whole-program entry point :meth:`Machine.run_program` uses."""
     dtype = np.dtype(dtype)
     scope = ("program",) + tuple(segment.name for segment in program.segments)
     try:

@@ -7,24 +7,21 @@ of ``batch`` iterations.  This gives real numerics (the device tests
 compare VM force output against the NumPy reference kernels) while the
 instruction stream stays exact for the cycle model.
 
-Three execution backends share the instruction semantics:
+Two execution backends share the instruction semantics:
 
 * ``interp`` — the per-instruction interpreter below: one dict dispatch
   and one fresh result array per instruction.  Every register the
   program writes lands in ``env``, which makes it the debugging and
   reference backend.
-* ``compiled`` — :mod:`repro.vm.compile` lowers the segment once to a
-  fused straight-line NumPy closure (loops unrolled, constants hoisted,
+* ``compiled`` — :mod:`repro.vm.compile` lowers code once to a fused
+  straight-line NumPy closure (loops unrolled, constants hoisted,
   register slots liveness-reused via ``out=`` kernels) and caches it.
-  Bit-identical results and branch statistics, several times faster;
-  only the segment's *declared outputs* are written back to ``env``.
-* ``fused`` — whole-*program* compilation: :meth:`Machine.run_program`
-  executes every segment through one closure with no per-segment
-  dispatch, and a batched replica axis lets R independent replicas run
-  through a single vectorized call (:meth:`Machine.run_program` with
-  ``replicas=R``).  Per-segment execution (:meth:`run_segment`) under
-  ``fused`` falls back to the per-segment compiled closure — the two
-  granularities only differ when a caller hands over a whole program.
+  :meth:`Machine.run_segment` runs one segment's closure;
+  :meth:`Machine.run_program` runs one closure over *every* segment,
+  with no per-segment dispatch, and executes ``replicas=R`` stacked
+  replicas in that single vectorized call.  Bit-identical results and
+  branch statistics, several times faster; only the program's
+  *declared outputs* are written back to ``env``.
 
 The backend is chosen per :class:`Machine` via ``exec_backend``, with
 an active tuned config's ``vm.exec`` value filling in when the caller
@@ -45,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vm.isa import OPS
-from repro.vm.program import IfBlock, Instr, Loop, Node, Program, Segment
+from repro.vm.program import IfBlock, Instr, Loop, Node, Program
 
 __all__ = [
     "BranchStat",
@@ -56,7 +53,7 @@ __all__ = [
 ]
 
 #: Recognized execution backends.
-EXEC_BACKENDS = ("interp", "compiled", "fused")
+EXEC_BACKENDS = ("interp", "compiled")
 
 
 class MachineError(RuntimeError):
@@ -75,7 +72,7 @@ def resolve_exec_backend(
     ``compiled`` (the fast path).  When the caller did not choose
     explicitly, an active tuned config's ``vm.exec`` value (scoped to
     ``device`` — the drivers pass ``"cell"``/``"gpu"``) overrides
-    either default.  All three backends are bit-identical, so this
+    either default.  Both backends are bit-identical, so this
     ordering can only change speed.
     """
     backend = explicit
@@ -103,10 +100,9 @@ def _register_exec_tunable() -> None:
         kind="choice",
         default="compiled",
         candidates=EXEC_BACKENDS,
-        description="VM execution backend (interp/compiled/fused)",
-        effect="compiled fuses each segment into one NumPy closure; "
-               "fused additionally eliminates per-segment dispatch and "
-               "batches replicas — fastest for whole-program workloads",
+        description="VM execution backend (interp/compiled)",
+        effect="compiled lowers each segment, or a whole program with "
+               "its replicas batched, into one NumPy closure",
     ))
 
 
@@ -169,7 +165,7 @@ class Machine:
         self.replicas_run = 0
         #: optional fault session corrupting declared outputs post-segment
         self._fault_session = None
-        #: when set (batched fused runs), probes append
+        #: when set (compiled run_program), probes append
         #: ``(prob_key, per-replica samples)`` here instead of recording
         #: immediately; ``run_program`` replays the buffer replica-major
         self._probe_buffer: list[tuple[str, list[float]]] | None = None
@@ -218,7 +214,7 @@ class Machine:
         """
         segment = program.segment(segment_name)
         self._check_env(env)
-        if self.exec_backend in ("compiled", "fused"):
+        if self.exec_backend == "compiled":
             from repro.vm.compile import compiled_segment
 
             compiled_segment(program, segment_name, self.width, self.dtype)(
@@ -238,19 +234,19 @@ class Machine:
     ) -> dict[str, np.ndarray]:
         """Execute *every* segment of ``program`` over the batch in ``env``.
 
-        Under the ``fused`` backend the whole program runs as one
-        compiled closure (no per-segment dispatch); under ``interp`` and
-        ``compiled`` the segments execute sequentially over the shared
-        ``env`` — same results, reference semantics.
+        Under ``compiled`` the whole program runs as one closure (no
+        per-segment dispatch); under ``interp`` the segments execute
+        sequentially over the shared ``env`` — same results, reference
+        semantics.
 
         ``replicas=R`` declares that the batch rows are R independent
         replicas stacked along the row axis (row ``r*B .. (r+1)*B-1`` is
-        replica ``r``).  The ``fused`` backend executes all replicas in
-        one vectorized call; ``interp`` and ``compiled`` loop replica by
-        replica on row slices — the sequential reference the batched
-        path must match bit for bit, branch statistics included.  With
-        ``replicas > 1`` only the program's declared outputs are merged
-        back into ``env``.
+        replica ``r``).  ``compiled`` executes all replicas in the same
+        one closure call; ``interp`` loops replica by replica on row
+        slices — the sequential reference the batched path must match
+        bit for bit, branch statistics included.  With ``replicas > 1``
+        only the program's declared outputs are merged back into
+        ``env``.
 
         An armed fault session fires once, after the whole program —
         one potential bitflip per ``run_program`` call, landing in
@@ -264,23 +260,10 @@ class Machine:
             raise MachineError(
                 f"batch {batch} is not divisible into {replicas} replicas"
             )
-        if replicas == 1 or self.exec_backend == "fused":
-            if replicas > 1:
-                # The closure fires probes in program order, each with all
-                # replicas' samples at once; the sequential reference
-                # accumulates replica-major.  When IfBlocks share a
-                # prob_key the two orders sum differently in float, so
-                # buffer and replay replica-major to stay bit-identical.
-                self._probe_buffer = []
-                try:
-                    self._run_program_once(program, env, replicas)
-                finally:
-                    buffered, self._probe_buffer = self._probe_buffer, None
-                for index in range(replicas):
-                    for key, samples in buffered:
-                        self._record_branch(key, samples[index])
-            else:
-                self._run_program_once(program, env, replicas)
+        if self.exec_backend == "compiled":
+            self._run_compiled_program(program, env, replicas)
+        elif replicas == 1:
+            self._interp_program(program, env)
         else:
             rows = batch // replicas
             merged: dict[str, list[np.ndarray]] = {
@@ -291,7 +274,7 @@ class Machine:
                     name: reg[index * rows : (index + 1) * rows]
                     for name, reg in env.items()
                 }
-                self._run_program_once(program, sub, 1)
+                self._interp_program(program, sub)
                 for name in program.outputs:
                     merged[name].append(sub[name])
             for name, parts in merged.items():
@@ -302,29 +285,37 @@ class Machine:
             self._fault_session.machine_bitflip(self, program.outputs, env)
         return env
 
-    def _run_program_once(
+    def _run_compiled_program(
         self,
         program: Program,
         env: dict[str, np.ndarray],
         replicas: int,
     ) -> None:
-        """All segments, no fault hook (``run_program`` applies it once)."""
-        if self.exec_backend == "fused":
-            from repro.vm.compile import compiled_program
+        """One whole-program closure call over all ``replicas``."""
+        from repro.vm.compile import compiled_program
 
+        # The closure fires probes in program order, each with all
+        # replicas' samples at once; the sequential reference accumulates
+        # replica-major.  When IfBlocks share a prob_key the two orders
+        # sum differently in float, so buffer and replay replica-major to
+        # stay bit-identical.
+        self._probe_buffer = []
+        try:
             compiled_program(program, self.width, self.dtype)(
                 env, self, replicas=replicas
             )
-        elif self.exec_backend == "compiled":
-            from repro.vm.compile import compiled_segment
+        finally:
+            buffered, self._probe_buffer = self._probe_buffer, None
+        for index in range(replicas):
+            for key, samples in buffered:
+                self._record_branch(key, samples[index])
 
-            for segment in program.segments:
-                compiled_segment(program, segment.name, self.width, self.dtype)(
-                    env, self
-                )
-        else:
-            for segment in program.segments:
-                self._exec_nodes(segment.body, env, loop_indices=[])
+    def _interp_program(
+        self, program: Program, env: dict[str, np.ndarray]
+    ) -> None:
+        """Every segment through the interpreter, no fault hook."""
+        for segment in program.segments:
+            self._exec_nodes(segment.body, env, loop_indices=[])
 
     def install_fault_session(self, session) -> None:
         """Arm instruction-level fault injection (``vm.bitflip``).

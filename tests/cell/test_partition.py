@@ -56,6 +56,14 @@ class TestPartitionTiming:
         timing = PartitionTiming(per_spe_seconds=(2.0, 2.0))
         assert timing.imbalance == 0.0
 
+    @pytest.mark.parametrize("n_spes,seconds", [(3, 0.1), (8, 0.7)])
+    def test_equal_seconds_are_exactly_balanced(self, n_spes, seconds):
+        # The float mean of these equal values rounds above their max,
+        # so max/mean - 1 would come out at -1.1e-16.
+        per_spe = (seconds,) * n_spes
+        assert max(per_spe) / (sum(per_spe) / n_spes) - 1.0 < 0.0
+        assert PartitionTiming(per_spe_seconds=per_spe).imbalance == 0.0
+
 
 class TestPartitionedKernelSeconds:
     @pytest.fixture(scope="class")

@@ -1,7 +1,7 @@
-"""Fault injection against batched multi-replica fused execution.
+"""Fault injection against batched multi-replica compiled execution.
 
 The recovery contract the ensemble work depends on: a ``vm.bitflip``
-landing in a fused R-replica batch corrupts exactly one row of one
+landing in a compiled R-replica batch corrupts exactly one row of one
 declared output, so it is attributable to a single replica
 (``row // rows_per_replica``), detectable by the numeric guard (loud
 severity saturates to ±inf), and recoverable by recomputing *only*
@@ -45,14 +45,14 @@ def _env(machine: Machine, seed: int = 11) -> dict:
 
 
 def _clean_reference() -> dict:
-    machine = Machine(width=4, dtype=np.float32, exec_backend="fused")
+    machine = Machine(width=4, dtype=np.float32, exec_backend="compiled")
     env = _env(machine)
     machine.run_program(PROGRAM, env, replicas=REPLICAS)
     return {name: env[name].copy() for name in PROGRAM.outputs}
 
 
 def _faulted_run(plan: FaultPlan):
-    machine = Machine(width=4, dtype=np.float32, exec_backend="fused")
+    machine = Machine(width=4, dtype=np.float32, exec_backend="compiled")
     session = FaultSession(plan)
     machine.install_fault_session(session)
     session.begin_step(0)
@@ -112,7 +112,7 @@ class TestBatchedBitflip:
 
         # recompute replica k alone from the same inputs and splice it
         # back — the batch must now be bit-identical to the clean run
-        retry = Machine(width=4, dtype=np.float32, exec_backend="fused")
+        retry = Machine(width=4, dtype=np.float32, exec_backend="compiled")
         sub = {
             name: reg[k * ROWS : (k + 1) * ROWS].copy()
             for name, reg in _env(retry).items()

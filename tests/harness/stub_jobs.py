@@ -43,8 +43,20 @@ def ok_job(measured: float = 1.0, value: float = 42.0) -> ExperimentResult:
     return make_result(measured=measured, value=value)
 
 
-def napping_job(seconds: float = 0.2, value: float = 0.0) -> ExperimentResult:
-    time.sleep(seconds)
+def napping_job(
+    seconds: float = 0.2, value: float = 0.0, release_path: str = ""
+) -> ExperimentResult:
+    """Sleeps ``seconds``.  With ``release_path`` it instead polls for
+    that file every ~10 ms and returns once it exists, still capped at
+    ``seconds`` — so a test can end the nap as soon as its assertions
+    are done instead of waiting it out."""
+    if not release_path:
+        time.sleep(seconds)
+        return make_result(value=value)
+    deadline = time.monotonic() + seconds
+    release = Path(release_path)
+    while not release.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
     return make_result(value=value)
 
 

@@ -1,7 +1,7 @@
 """Counter additivity across the replica batch axis.
 
 The observability contract for batched execution: how work was batched
-must never change what the counters say about it.  A fused R-replica
+must never change what the counters say about it.  A batched R-replica
 ``run_program`` call charges exactly what R sequential single-replica
 runs charge — ``vm.replicas`` and every ``vm.branch.*`` stat merge to
 identical totals.  The one deliberate exception is ``vm.programs``,
@@ -20,7 +20,7 @@ from repro.cell.kernels import build_spe_timestep_kernel, timestep_constants
 from repro.experiments.ensemble import _vm_counters
 from repro.md.lj import LennardJones
 from repro.obs.counters import CounterSet, spec_for
-from repro.vm.machine import Machine
+from repro.vm.machine import EXEC_BACKENDS, Machine
 
 BOX_LENGTH = 8.0
 PROGRAM = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
@@ -57,7 +57,7 @@ class TestBatchedAdditivity:
         replicas=st.integers(1, 5),
         rows=st.integers(1, 4),
         seed=st.integers(0, 2**16),
-        backend=st.sampled_from(("interp", "compiled", "fused")),
+        backend=st.sampled_from(EXEC_BACKENDS),
     )
     @settings(max_examples=40, deadline=None)
     def test_batched_counters_merge_to_sequential_totals(
@@ -94,7 +94,7 @@ class TestBatchedAdditivity:
     @settings(max_examples=20, deadline=None)
     def test_vm_programs_counts_dispatches_not_replicas(self, replicas, seed):
         """The counter batching exists to reduce: 1 dispatch vs R."""
-        machine = Machine(width=4, dtype=np.float32, exec_backend="fused")
+        machine = Machine(width=4, dtype=np.float32, exec_backend="compiled")
         env = _timestep_env(machine, replicas * 2, seed)
         machine.run_program(PROGRAM, env, replicas=replicas)
         counters = _vm_counters(machine)
@@ -105,7 +105,7 @@ class TestBatchedAdditivity:
         """Merging windows pairwise or all-at-once gives the same totals."""
         windows = []
         for index in range(4):
-            machine = Machine(width=4, dtype=np.float32, exec_backend="fused")
+            machine = Machine(width=4, dtype=np.float32, exec_backend="compiled")
             env = _timestep_env(machine, 3, seed=index)
             machine.run_program(PROGRAM, env, replicas=1)
             windows.append(_vm_counters(machine))

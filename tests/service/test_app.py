@@ -140,14 +140,18 @@ class TestSubmitAndFetch:
         run(scenario())
 
     def test_result_not_available_while_pending(self, tmp_path):
+        release = tmp_path / "release"
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0,
+                                      release_path=str(release))}
             async with running_service(str(tmp_path), specs=specs) as svc:
                 client = ServiceClient(port=svc.port)
                 doc = await call(client.submit, "nap")
                 with pytest.raises(JobNotFound, match="no result yet"):
                     await call(client.result, doc["id"])
                 await call(client.cancel, doc["id"])
+                release.touch()
 
         run(scenario())
 
@@ -200,9 +204,12 @@ class TestCaching:
 
 class TestCancel:
     def test_cancel_queued_job(self, tmp_path):
+        release = tmp_path / "release"
+
         async def scenario():
             specs = {
-                "nap": stub_spec("nap", "napping_job", seconds=5.0),
+                "nap": stub_spec("nap", "napping_job", seconds=5.0,
+                                 release_path=str(release)),
                 "ok": stub_spec("ok", "ok_job"),
             }
             async with running_service(str(tmp_path), specs=specs) as svc:
@@ -214,6 +221,7 @@ class TestCancel:
                 doc = await call(client.job, queued["id"])
                 assert doc["status"] == "cancelled"
                 await call(client.cancel, blocker["id"])
+                release.touch()
 
         run(scenario())
 
@@ -255,8 +263,11 @@ class TestCancel:
 
 class TestBackpressureHTTP:
     def test_quota_exceeded_is_429_with_retry_after(self, tmp_path):
+        release = tmp_path / "release"
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0,
+                                      release_path=str(release))}
             async with running_service(
                 str(tmp_path), specs=specs, tenant_quota=1
             ) as svc:
@@ -269,6 +280,7 @@ class TestBackpressureHTTP:
                 assert exc.value.retry_after >= 1
                 assert "retry_after_seconds" in exc.value.payload
                 await call(client.cancel, first["id"])
+                release.touch()
 
         run(scenario())
 
@@ -368,8 +380,18 @@ class TestPersistence:
 
 class TestShutdown:
     def test_shutdown_settles_queued_jobs_as_cancelled(self, tmp_path):
+        release = tmp_path / "release"
+
+        async def release_once_draining(service):
+            # End the running nap only after shutdown has closed the
+            # queue, so the stranded job can never start.
+            while not service.queue._closed:
+                await asyncio.sleep(0.01)
+            release.touch()
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0,
+                                      release_path=str(release))}
             async with running_service(str(tmp_path), specs=specs) as svc:
                 client = ServiceClient(port=svc.port)
                 blocker = await call(client.submit, "nap")
@@ -377,7 +399,9 @@ class TestShutdown:
                 await call(client.cancel, blocker["id"])
                 stranded_id = stranded["id"]
                 service = svc
+                releaser = asyncio.create_task(release_once_draining(svc))
             # context manager exit ran shutdown()
+            await releaser
             return service.jobs[stranded_id].status
 
         assert run(scenario()) == "cancelled"

@@ -79,8 +79,11 @@ class TestMixedPriorityTenants:
 
 class TestQuotaBackpressure:
     def test_over_quota_tenant_sees_429_with_retry_after(self, tmp_path):
+        release = tmp_path / "release"
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0,
+                                      release_path=str(release))}
             async with running_service(
                 str(tmp_path), specs=specs, tenant_quota=1, concurrency=1
             ) as svc:
@@ -90,6 +93,7 @@ class TestQuotaBackpressure:
                     await call(client.submit, "nap", tenant="burst")
                 stats = await call(client.stats)
                 await call(client.cancel, first["id"])
+                release.touch()
                 return exc.value, stats
 
         exc, stats = asyncio.run(scenario())

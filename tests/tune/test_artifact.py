@@ -31,7 +31,7 @@ def _key(**overrides) -> str:
         device="vm",
         n=512,
         quick=True,
-        knob_grids={"vm.exec": ("interp", "compiled", "fused")},
+        knob_grids={"vm.exec": ("interp", "compiled")},
         code_fingerprint=CODE_FP,
     )
     base.update(overrides)
@@ -47,7 +47,7 @@ def _artifact(key=None, **overrides):
         n=512,
         quick=True,
         knobs=("vm.exec",),
-        values={"vm/vm.exec": "fused"},
+        values={"vm/vm.exec": "compiled"},
         objective="wall",
         metric="rows_per_second",
         default_metric=100.0,
@@ -82,7 +82,7 @@ class TestKey:
 
     def test_widening_a_grid_is_a_new_problem(self):
         widened = _key(
-            knob_grids={"vm.exec": ("interp", "compiled", "fused", "magic")}
+            knob_grids={"vm.exec": ("interp", "compiled", "magic")}
         )
         assert widened != _key()
 
@@ -157,7 +157,7 @@ class TestMerge:
         )
         assert merged is not None
         assert merged.values == {
-            "vm/vm.exec": "fused",
+            "vm/vm.exec": "compiled",
             "gpu/gpu.row_block": 512,
         }
         assert len(merged.keys) == 2

@@ -35,11 +35,11 @@ class TestLookup:
             assert tuned_value("md.block") is None
 
     def test_inner_frame_shadows_outer(self):
-        with applied({"md.block": 128, "md.skin": 0.45}):
+        with applied({"md.block": 128, "gpu.row_block": 256}):
             with applied({"md.block": 512}):
                 assert tuned_value("md.block") == 512
                 # un-shadowed keys fall through to the outer frame
-                assert tuned_value("md.skin") == 0.45
+                assert tuned_value("gpu.row_block") == 256
             assert tuned_value("md.block") == 128
 
     def test_exit_pops_the_frame(self):
@@ -54,9 +54,9 @@ class TestLookup:
         assert tuned_value("md.block") is None
 
     def test_active_values_merges_inner_wins(self):
-        with applied({"md.block": 128, "md.skin": 0.45}):
+        with applied({"md.block": 128, "gpu.row_block": 256}):
             with applied({"md.block": 512}):
-                assert active_values() == {"md.block": 512, "md.skin": 0.45}
+                assert active_values() == {"md.block": 512, "gpu.row_block": 256}
 
 
 class TestValidationAtApply:
@@ -74,8 +74,8 @@ class TestValidationAtApply:
 
 class TestFingerprint:
     def test_order_independent(self):
-        a = config_fingerprint({"md.block": 128, "vm/vm.exec": "fused"})
-        b = config_fingerprint({"vm/vm.exec": "fused", "md.block": 128})
+        a = config_fingerprint({"md.block": 128, "vm/vm.exec": "compiled"})
+        b = config_fingerprint({"vm/vm.exec": "compiled", "md.block": 128})
         assert a == b
 
     def test_value_sensitive(self):

@@ -32,7 +32,7 @@ def _tunesweep_job() -> Job:
 def _seed_artifact(
     store: TunedStore,
     *,
-    values={"vm/vm.exec": "fused"},
+    values={"vm/vm.exec": "compiled"},
     code_fp=CODE_FP,
     experiment_id="tunesweep",
 ):
@@ -43,7 +43,7 @@ def _seed_artifact(
             device="vm",
             n=64,
             quick=True,
-            knob_grids={"vm.exec": ("interp", "compiled", "fused")},
+            knob_grids={"vm.exec": ("interp", "compiled")},
             code_fingerprint=code_fp,
         ),
         scenario_id="tunesweep-vm",
@@ -74,7 +74,7 @@ class TestAttachTuned:
         (tuned_job,) = attach_tuned(
             [job], tuned_store=tuned_store, quick=True, fingerprint=CODE_FP
         )
-        assert tuned_job.tuned["values"] == {"vm/vm.exec": "fused"}
+        assert tuned_job.tuned["values"] == {"vm/vm.exec": "compiled"}
         assert tuned_job.tuned["fingerprint"] == art.fingerprint
         assert art.key in tuned_job.tuned["keys"]
         assert job_cache_key(tuned_job, "f") != job_cache_key(job, "f")

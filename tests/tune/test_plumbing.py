@@ -26,18 +26,13 @@ class TestTunedBackendOptions:
     def test_knobs_map_to_factory_options(self):
         from repro.md.forcefield import tuned_backend_options
 
-        with applied({"md.block": 64, "md.skin": 0.45}):
+        with applied({"md.block": 64, "gpu.row_block": 256}):
             assert tuned_backend_options("all-pairs") == {"block": 64}
-            assert tuned_backend_options("verlet") == {"skin": 0.45}
-
-    def test_cell_backend_maps_both_knobs(self):
-        from repro.md.forcefield import tuned_backend_options
-
-        with applied({"md.cell_buffer": 0.45, "md.rebuild_delay": 4}):
-            assert tuned_backend_options("cell") == {
-                "buffer": 0.45,
-                "rebuild_check_delay": 4,
-            }
+            assert tuned_backend_options("27image") == {"block": 64}
+            # the list backends keep their factory defaults: no knob
+            # maps onto skin, buffer or rebuild delay
+            assert tuned_backend_options("verlet") == {}
+            assert tuned_backend_options("cell") == {}
 
     def test_device_scoped_value_only_applies_to_that_device(self):
         from repro.md.forcefield import tuned_backend_options
@@ -160,13 +155,13 @@ class TestVmExecResolution:
         from repro.vm.machine import resolve_exec_backend
 
         assert resolve_exec_backend() == "interp"
-        with applied({"vm/vm.exec": "fused"}):
-            assert resolve_exec_backend() == "fused"
+        with applied({"vm/vm.exec": "compiled"}):
+            assert resolve_exec_backend() == "compiled"
             assert resolve_exec_backend(explicit="interp") == "interp"
 
     def test_device_scope_separates_drivers(self):
         from repro.vm.machine import resolve_exec_backend
 
-        with applied({"gpu/vm.exec": "fused"}):
-            assert resolve_exec_backend(device="gpu", default="compiled") == "fused"
+        with applied({"gpu/vm.exec": "interp"}):
+            assert resolve_exec_backend(device="gpu", default="compiled") == "interp"
             assert resolve_exec_backend(device="cell", default="compiled") == "compiled"

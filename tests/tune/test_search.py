@@ -31,8 +31,8 @@ VM = scenario_for("tunesweep-vm")
 
 
 def exec_speed_measure(values):
-    """Deterministic: fused 9x, compiled 3x, interp/defaults 1x."""
-    speed = {"fused": 900.0, "compiled": 300.0}.get(
+    """Deterministic: compiled 9x, interp 3x, defaults 1x."""
+    speed = {"compiled": 900.0, "interp": 300.0}.get(
         values.get("vm/vm.exec"), 100.0
     )
     return speed, 1.0 / speed, 0.0
@@ -42,10 +42,9 @@ class TestCandidates:
     def test_defaults_first_then_full_grid(self):
         cands = candidates_for(VM, budget=16, key="ab" * 32)
         assert cands[0] == {}
-        assert {"vm/vm.exec": "fused"} in cands
         assert {"vm/vm.exec": "interp"} in cands
         assert {"vm/vm.exec": "compiled"} in cands
-        assert len(cands) == 4
+        assert len(cands) == 3
 
     def test_deterministic_subsample_under_budget(self):
         key = "cd" * 32
@@ -74,11 +73,11 @@ class TestSearch:
         )
         art = outcome.artifact
         assert not outcome.cached
-        assert outcome.probes_run == 4
+        assert outcome.probes_run == 3
         assert art.source == SOURCE_SEARCH
-        assert art.values == {"vm/vm.exec": "fused"}
+        assert art.values == {"vm/vm.exec": "compiled"}
         assert art.speedup == pytest.approx(9.0)
-        assert len(art.trials) == 4
+        assert len(art.trials) == 3
 
     def test_same_measure_twice_is_the_same_winner(self, tmp_path):
         kwargs = dict(
@@ -133,7 +132,7 @@ class TestSearch:
         )
         tune_scenario("tunesweep-vm", **kwargs)
         again = tune_scenario("tunesweep-vm", force=True, **kwargs)
-        assert not again.cached and again.probes_run == 4
+        assert not again.cached and again.probes_run == 3
 
 
 class TestFallbacks:
@@ -159,7 +158,7 @@ class TestFallbacks:
         art = outcome.artifact
         assert art.source == SOURCE_PROBE_FAILED
         assert art.values == {}
-        assert outcome.probes_run == 4  # every probe was attempted
+        assert outcome.probes_run == 3  # every probe was attempted
         assert all(not t["ok"] for t in art.trials)
         # the fallback is persisted: the next call is a cache hit
         assert store.load(art.key) is not None
@@ -203,7 +202,7 @@ class TestCounters:
             )
         counters = session.merged_counters()
         assert counters["tune/tune.scenarios"] == 1
-        assert counters["tune/tune.probes"] == 4
+        assert counters["tune/tune.probes"] == 3
         assert counters["tune/tune.adopted"] == 1
         assert counters["tune/tune.seconds"] > 0.0
 

@@ -16,9 +16,6 @@ from repro.tune.spec import (
 #: every knob the shipped backends must declare
 EXPECTED_KNOBS = {
     "md.block",
-    "md.skin",
-    "md.cell_buffer",
-    "md.rebuild_delay",
     "cell.partition",
     "gpu.row_block",
     "mta.streams",
@@ -102,7 +99,7 @@ class TestValueValidation:
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError, match="low bound"):
-            tunable("md.skin").validate(0.0)
+            tunable("md.block").validate(8)
 
     def test_validate_values_accepts_scoped_and_bare_keys(self):
         validate_values({"md.block": 128, "cell/cell.partition": "cyclic"})

@@ -410,6 +410,9 @@ class TestBackendSelection:
             resolve_exec_backend("jit")
         with pytest.raises(ValueError):
             Machine(exec_backend="turbo")
+        # whole-program execution is part of "compiled", not a backend
+        with pytest.raises(ValueError):
+            Machine(exec_backend="fused")
 
     def test_drivers_default_to_compiled(self):
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)

@@ -1,15 +1,17 @@
-"""Differential certification of the fused whole-program VM backend.
+"""Differential certification of whole-program compiled VM execution.
 
 The contract under test, extending ``test_compile.py``'s compiled-vs-
-interp net to the third backend and the replica axis:
+interp net to whole programs and the replica axis:
 
-* for every program, ``fused`` produces bit-identical declared outputs
-  and identical branch statistics to ``compiled`` and ``interp`` —
-  including multi-segment programs, where the fused closure carries
-  values across segment boundaries as SSA instead of env writebacks;
+* for every program, :meth:`Machine.run_program` under ``compiled`` (one
+  fused whole-program closure) produces bit-identical declared outputs
+  and identical branch statistics to ``interp`` and to the per-segment
+  closures chained through ``run_segment`` — including multi-segment
+  programs, where the whole-program closure carries values across
+  segment boundaries as SSA instead of env writebacks;
 * a batched run of R replicas (stacked along the row axis) is
-  bit-identical, replica by replica, to R sequential runs — outputs
-  *and* branch-stat accumulation order;
+  bit-identical, replica by replica, to R sequential runs under either
+  backend — outputs *and* branch-stat accumulation order;
 * the whole-program compile cache never aliases the per-segment cache,
   even for single-segment programs or a segment literally named
   ``program`` (the PR-3 keying bug this PR fixes);
@@ -32,13 +34,7 @@ from repro.cell.kernels import (
     kernel_constants,
     timestep_constants,
 )
-from repro.cell.spe import SpePairSweep
-from repro.gpu.device import GpuPairSweep
-from repro.gpu.kernels import (
-    build_gpu_timestep_shader,
-    build_md_shader,
-    shader_constants,
-)
+from repro.gpu.kernels import build_gpu_timestep_shader, shader_constants
 from repro.md.lj import LennardJones
 from repro.mta.kernels import build_mta_timestep_program
 from repro.vm.compile import (
@@ -46,11 +42,10 @@ from repro.vm.compile import (
     compiled_program,
     compiled_segment,
 )
-from repro.vm.machine import Machine, MachineError
+from repro.vm.machine import EXEC_BACKENDS, Machine, MachineError
 from repro.vm.program import IfBlock, Instr, Program, Segment
 
 BOX_LENGTH = 6.0
-BACKENDS = ("interp", "compiled", "fused")
 
 DT = 0.005
 
@@ -59,21 +54,44 @@ def _stats(machine: Machine) -> dict[str, tuple[float, int]]:
     return {key: stat.snapshot() for key, stat in machine.branch_stats.items()}
 
 
+def _run_segments(machine, program, env, replicas):
+    """Every segment through ``run_segment``, replica by replica: the
+    per-segment closures chained over a shared env."""
+    rows = next(iter(env.values())).shape[0] // replicas
+    merged = {name: [] for name in program.outputs}
+    for index in range(replicas):
+        sub = {
+            name: reg[index * rows : (index + 1) * rows]
+            for name, reg in env.items()
+        }
+        for segment in program.segments:
+            machine.run_segment(program, segment.name, sub)
+        for name in program.outputs:
+            merged[name].append(sub[name])
+    for name, parts in merged.items():
+        env[name] = np.concatenate(parts, axis=0)
+
+
 def _run_program_all_backends(program, env_builder, width=4, dtype=np.float32,
                               replicas=1):
-    """run_program under every backend; return {backend: (env, stats)}."""
+    """run_program under both backends, plus the per-segment compiled
+    chain; return {path: (env, stats)}."""
     results = {}
-    for backend in BACKENDS:
+    for backend in EXEC_BACKENDS:
         machine = Machine(width=width, dtype=dtype, exec_backend=backend)
         env = env_builder(machine)
         machine.run_program(program, env, replicas=replicas)
         results[backend] = (env, _stats(machine))
+    machine = Machine(width=width, dtype=dtype, exec_backend="compiled")
+    env = env_builder(machine)
+    _run_segments(machine, program, env, replicas)
+    results["segments"] = (env, _stats(machine))
     return results
 
 
 def _assert_all_identical(program, results):
     (env_ref, stats_ref) = results["interp"]
-    for backend in ("compiled", "fused"):
+    for backend in ("compiled", "segments"):
         env_b, stats_b = results[backend]
         for name in program.outputs:
             assert name in env_b, f"{backend} dropped output {name!r}"
@@ -170,6 +188,7 @@ TIMESTEP_CASES = (
 class TestTimestepProgramsDifferential:
     @pytest.mark.parametrize("label,build,env_fn,dtype", TIMESTEP_CASES)
     def test_whole_timestep_three_backends(self, label, build, env_fn, dtype):
+        """interp, per-segment compiled and whole-program compiled agree."""
         program = build()
         results = _run_program_all_backends(
             program, lambda m: env_fn(m, 24), dtype=dtype
@@ -180,42 +199,45 @@ class TestTimestepProgramsDifferential:
     @pytest.mark.parametrize("replicas", [2, 3, 8])
     def test_batched_equals_sequential(self, label, build, env_fn, dtype,
                                        replicas):
-        """R replicas in one fused batch == R sequential runs, bit for bit."""
+        """R replicas in one compiled call == R sequential runs under
+        either backend, bit for bit."""
         program = build()
         rows = 8
         batch = replicas * rows
 
-        fused = Machine(width=4, dtype=dtype, exec_backend="fused")
-        env = env_fn(fused, batch)
+        batched = Machine(width=4, dtype=dtype, exec_backend="compiled")
+        env = env_fn(batched, batch)
         base = {name: reg.copy() for name, reg in env.items()}
-        fused.run_program(program, env, replicas=replicas)
+        batched.run_program(program, env, replicas=replicas)
 
-        sequential = Machine(width=4, dtype=dtype, exec_backend="compiled")
-        for index in range(replicas):
-            sub = {
-                name: reg[index * rows : (index + 1) * rows].copy()
-                for name, reg in base.items()
-            }
-            sequential.run_program(sub_program := program, sub, replicas=1)
-            for name in sub_program.outputs:
-                expect = env[name][index * rows : (index + 1) * rows]
-                assert sub[name].tobytes() == expect.tobytes(), (
-                    f"{label}: replica {index} output {name!r} differs "
-                    "between batched and sequential execution"
-                )
-        assert _stats(fused) == _stats(sequential), (
-            f"{label}: branch stats differ between batched and sequential"
-        )
+        for backend in EXEC_BACKENDS:
+            sequential = Machine(width=4, dtype=dtype, exec_backend=backend)
+            for index in range(replicas):
+                sub = {
+                    name: reg[index * rows : (index + 1) * rows].copy()
+                    for name, reg in base.items()
+                }
+                sequential.run_program(program, sub, replicas=1)
+                for name in program.outputs:
+                    expect = env[name][index * rows : (index + 1) * rows]
+                    assert sub[name].tobytes() == expect.tobytes(), (
+                        f"{label}: replica {index} output {name!r} differs "
+                        f"between batched and sequential {backend}"
+                    )
+            assert _stats(batched) == _stats(sequential), (
+                f"{label}: branch stats differ between batched and "
+                f"sequential {backend}"
+            )
 
     @pytest.mark.parametrize("label,build,env_fn,dtype", TIMESTEP_CASES)
     def test_batched_replica_loop_on_compiled_backend(self, label, build,
                                                       env_fn, dtype):
-        """replicas>1 on the compiled backend (the sequential reference
-        inside run_program) matches the fused batched result."""
+        """replicas>1 on interp (the row-slice loop inside run_program,
+        the sequential reference) matches the compiled batched call."""
         program = build()
         replicas, rows = 4, 6
         outs = {}
-        for backend in BACKENDS:
+        for backend in EXEC_BACKENDS:
             machine = Machine(width=4, dtype=dtype, exec_backend=backend)
             env = env_fn(machine, replicas * rows)
             machine.run_program(program, env, replicas=replicas)
@@ -223,7 +245,7 @@ class TestTimestepProgramsDifferential:
                 {name: env[name].tobytes() for name in program.outputs},
                 _stats(machine),
             )
-        assert outs["interp"] == outs["compiled"] == outs["fused"]
+        assert outs["interp"] == outs["compiled"]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +347,8 @@ class TestRandomProgramsFusedDifferential:
         _assert_all_identical(program, results)
 
         # batched == sequential, replica by replica, stats included
-        env_fused, stats_fused = results["fused"]
-        sequential = Machine(width=_WIDTH, dtype=dtype, exec_backend="fused")
+        env_batched, stats_batched = results["compiled"]
+        sequential = Machine(width=_WIDTH, dtype=dtype, exec_backend="compiled")
         for index in range(replicas):
             sub = {
                 name: value[index * rows : (index + 1) * rows].copy()
@@ -334,9 +356,9 @@ class TestRandomProgramsFusedDifferential:
             }
             sequential.run_program(program, sub, replicas=1)
             for name in program.outputs:
-                expect = env_fused[name][index * rows : (index + 1) * rows]
+                expect = env_batched[name][index * rows : (index + 1) * rows]
                 assert sub[name].tobytes() == expect.tobytes()
-        assert _stats(sequential) == stats_fused
+        assert _stats(sequential) == stats_batched
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +398,7 @@ class TestCompileCacheScoping:
         seg = compiled_segment(program, "program", 4, np.float32)
         whole = compiled_program(program, 4, np.float32)
         assert seg is not whole
-        machine = Machine(width=4, exec_backend="fused")
+        machine = Machine(width=4, exec_backend="compiled")
         env = {"x": machine.make_register(3, 2.0)}
         machine.run_program(program, env)
         assert (env["y"] == 4.0).all()
@@ -394,29 +416,14 @@ class TestCompileCacheScoping:
         b = compiled_program(program, 4, np.float64)
         assert a is not b
 
-    def test_fused_backend_run_segment_falls_back_to_segment_unit(self):
-        # run_segment under "fused" executes the per-segment compiled
-        # closure — granularities only diverge at run_program.
-        program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
-        outs = {}
-        for backend in ("compiled", "fused"):
-            machine = Machine(width=4, exec_backend=backend)
-            env = _spe_timestep_env(machine, 12)
-            machine.run_segment(program, "pair", env)
-            outs[backend] = {
-                name: env[name].tobytes()
-                for name in ("acc_out", "pe_out")
-            }
-        assert outs["compiled"] == outs["fused"]
-
 
 # ---------------------------------------------------------------------------
-# run_program error paths + driver batching
+# run_program error paths
 # ---------------------------------------------------------------------------
 
 
 class TestRunProgramErrors:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_replicas_below_one_rejected(self, backend):
         program = _single_segment_program("main")
         machine = Machine(width=4, exec_backend=backend)
@@ -424,7 +431,7 @@ class TestRunProgramErrors:
         with pytest.raises(MachineError, match="replicas"):
             machine.run_program(program, env, replicas=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_non_divisible_batch_rejected(self, backend):
         program = _single_segment_program("main")
         machine = Machine(width=4, exec_backend=backend)
@@ -434,77 +441,9 @@ class TestRunProgramErrors:
 
     def test_replica_tallies_accumulate(self):
         program = _single_segment_program("main")
-        machine = Machine(width=4, exec_backend="fused")
+        machine = Machine(width=4, exec_backend="compiled")
         env = {"x": machine.make_register(6, 1.0)}
         machine.run_program(program, dict(env), replicas=3)
         machine.run_program(program, dict(env), replicas=1)
         assert machine.programs_run == 2
         assert machine.replicas_run == 4
-
-
-class TestDriverReplicaBatching:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_spe_sweep_run_replicas_matches_run(self, backend):
-        program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
-        constants = timestep_constants(LennardJones(), dt=DT)
-        rng = np.random.default_rng(17)
-        replicas, n = 3, 12
-        positions = rng.uniform(
-            0.0, BOX_LENGTH, size=(replicas, n, 3)
-        ).astype(np.float32)
-        rows = np.arange(n)
-
-        # run() drives the pair segment only, so compare against the
-        # plain pair kernel program; run_replicas on the same program.
-        from repro.cell.kernels import build_spe_kernel
-
-        pair = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        pair_constants = kernel_constants(LennardJones())
-        batched = SpePairSweep(pair, exec_backend=backend)
-        acc_b, pe_b = batched.run_replicas(
-            positions, rows, pair_constants, row_block=5
-        )
-        for r in range(replicas):
-            single = SpePairSweep(pair, exec_backend="compiled")
-            acc_s, pe_s = single.run(positions[r], rows, pair_constants,
-                                     row_block=5)
-            assert acc_b[r].tobytes() == acc_s.tobytes()
-            assert pe_b[r].tobytes() == pe_s.tobytes()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_gpu_sweep_run_replicas_mixed_boxes(self, backend):
-        shader = build_md_shader(BOX_LENGTH)
-        rng = np.random.default_rng(19)
-        replicas, n = 3, 10
-        positions = rng.uniform(0.0, 5.5, size=(replicas, n, 3)).astype(
-            np.float32
-        )
-        boxes = (6.0, 7.0, 8.0)
-        const_list = [
-            shader_constants(LennardJones(), box) for box in boxes
-        ]
-        batched = GpuPairSweep(shader, exec_backend=backend)
-        acc_b, pe_b = batched.run_replicas(positions, const_list, row_block=4)
-        for r in range(replicas):
-            single = GpuPairSweep(shader, exec_backend="compiled")
-            acc_s, pe_s = single.run(positions[r], const_list[r], row_block=4)
-            assert acc_b[r].tobytes() == acc_s.tobytes()
-            assert pe_b[r].tobytes() == pe_s.tobytes()
-
-    def test_gpu_run_replicas_constants_shape_mismatch(self):
-        shader = build_md_shader(BOX_LENGTH)
-        sweep = GpuPairSweep(shader)
-        positions = np.zeros((3, 4, 3), dtype=np.float32)
-        with pytest.raises(ValueError, match="constant sets"):
-            sweep.run_replicas(
-                positions, [shader_constants(LennardJones(), 6.0)] * 2
-            )
-
-    def test_run_replicas_requires_replica_axis(self):
-        shader = build_md_shader(BOX_LENGTH)
-        sweep = GpuPairSweep(shader)
-        with pytest.raises(ValueError, match="replicas"):
-            sweep.run_replicas(
-                np.zeros((4, 3), dtype=np.float32),
-                shader_constants(LennardJones(), 6.0),
-            )
