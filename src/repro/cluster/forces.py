@@ -10,6 +10,12 @@ row depends only on its cutoff partners, which the halo guarantees are
 present (:mod:`repro.cluster.decomposition`).  The backend then
 finishes as ``compute_forces`` does, with one ``0.5 * pe_rows.sum()``.
 
+On the host, ``pair_block`` scans each owned row only against the
+owned + ghost columns in the 27 cells around it, not the whole local
+set.  ``NodeForces.pairs_examined`` still reports
+``n_owned * (n_local - 1)``: the distances the modelled node computes
+on the fly (the paper's section 3.4), which is what the pricing reads.
+
 :func:`decomposed_record` runs a decomposed trajectory once per
 (configuration, step count, K, halo width) and memoizes it with
 :func:`repro.md.physics.memoize`: the node device model is not part of

@@ -1,7 +1,7 @@
-"""The tuning-target sweep: gpu/mta/vm workloads under tuned configs.
+"""The tuning-target sweep: gpu/mta workloads under tuned configs.
 
 This experiment is the roster anchor for the autotuner's accelerator
-scenarios (``tunesweep-gpu``, ``tunesweep-mta``, ``tunesweep-vm`` in
+scenarios (``tunesweep-gpu`` and ``tunesweep-mta`` in
 :mod:`repro.tune.probe`): a tuned artifact persisted for
 ``experiment_id="tunesweep"`` auto-loads onto this job's runs, and its
 knob values reach the workloads ambiently through
@@ -23,10 +23,10 @@ from repro.experiments.common import ExperimentResult, ShapeCheck
 __all__ = ["DESCRIPTION", "run"]
 
 #: One-line roster description (``--list`` / harness job metadata).
-DESCRIPTION = "gpu/mta/vm tuning-target sweep under the active tuned config"
+DESCRIPTION = "gpu/mta tuning-target sweep under the active tuned config"
 
 #: The probe scenarios this experiment re-runs as its workloads.
-_SCENARIO_IDS = ("tunesweep-gpu", "tunesweep-mta", "tunesweep-vm")
+_SCENARIO_IDS = ("tunesweep-gpu", "tunesweep-mta")
 
 
 def run(quick: bool = False, repeats: int = 2) -> ExperimentResult:
@@ -73,7 +73,7 @@ def run(quick: bool = False, repeats: int = 2) -> ExperimentResult:
         )
     return ExperimentResult(
         experiment_id="tunesweep",
-        title="tuning-target sweep (gpu / mta / vm)",
+        title="tuning-target sweep (gpu / mta)",
         headers=(
             "scenario", "device", "n", "metric", "per_second",
             "best_seconds", "accuracy", "tuned_knobs",

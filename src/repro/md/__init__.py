@@ -6,8 +6,8 @@ map.
 
 from repro.md.bonded import BondedForceField, HarmonicAngle, HarmonicBond
 from repro.md.box import PeriodicBox
+from repro.md.cells import CellGrid
 from repro.md.celllist import (
-    CellGrid,
     CellList,
     CellListForceBackend,
     build_pairs_cells,

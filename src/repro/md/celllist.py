@@ -29,69 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.md.box import PeriodicBox
+from repro.md.cells import CellGrid, cells_per_side
 from repro.md.forces import ForceResult, compute_pair_forces
 from repro.md.lj import LennardJones
 from repro.md.neighborlist import build_pairs, validate_list_radius
 
 __all__ = [
-    "CellGrid",
     "CellList",
     "CellListForceBackend",
     "build_pairs_cells",
-    "cells_per_side",
 ]
-
-
-def cells_per_side(box: PeriodicBox, radius: float) -> int:
-    """Cells per box edge for a search ``radius``; each cell >= radius wide."""
-    if radius <= 0.0:
-        raise ValueError(f"search radius must be positive, got {radius}")
-    return int(np.floor(box.length / radius))
-
-
-class CellGrid:
-    """A cubic binning of the periodic box into ``m**3`` cells.
-
-    Precomputes, for each of the 27 neighbor offsets, the flat id of the
-    neighboring cell of every cell — the periodic "cell adjacency" the
-    pair search walks.  Requires ``m >= 3`` so the 27 wrapped neighbor
-    cells of any cell are distinct (with fewer, the same cell appears
-    under several offsets and pairs would be double-counted).
-    """
-
-    def __init__(self, box: PeriodicBox, radius: float) -> None:
-        m = cells_per_side(box, radius)
-        if m < 3:
-            raise ValueError(
-                f"box of length {box.length} holds only {m} cells of width "
-                f">= {radius} per side; need >= 3 for a linked-cell search"
-            )
-        self.box = box
-        self.radius = radius
-        self.m = m
-        self.n_cells = m**3
-        self.cell_width = box.length / m
-        offsets = np.array(
-            [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-            dtype=np.int64,
-        )
-        grid = np.indices((m, m, m)).reshape(3, -1).T  # (m^3, 3) cell coords
-        neighbor_coords = (grid[:, None, :] + offsets[None, :, :]) % m
-        #: (n_cells, 27) flat ids of each cell's periodic neighborhood
-        self.neighbors = (
-            neighbor_coords[:, :, 0] * m * m
-            + neighbor_coords[:, :, 1] * m
-            + neighbor_coords[:, :, 2]
-        )
-
-    def assign(self, positions: np.ndarray) -> np.ndarray:
-        """Flat cell id of each atom (positions are wrapped first)."""
-        wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
-        coords = np.floor(wrapped / self.cell_width).astype(np.int64)
-        # wrap() keeps positions in [0, L), but L/width * (L - eps) can
-        # still floor to m for coordinates within one ulp of L.
-        np.clip(coords, 0, self.m - 1, out=coords)
-        return coords[:, 0] * self.m * self.m + coords[:, 1] * self.m + coords[:, 2]
 
 
 def build_pairs_cells(
@@ -116,12 +63,9 @@ def build_pairs_cells(
     n = positions.shape[0]
     cell_of = grid.assign(positions)
 
-    # Sort atoms by cell: order[k] is the k-th atom in cell-major order,
-    # cell c's members are order[starts[c] : starts[c] + counts[c]].
-    order = np.argsort(cell_of, kind="stable")
-    counts = np.bincount(cell_of, minlength=grid.n_cells)
-    starts = np.zeros(grid.n_cells, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
+    # Cell c's members are order[starts[c] : starts[c] + counts[c]].
+    order, bounds = grid.sort(cell_of)
+    starts, counts = bounds[:-1], np.diff(bounds)
 
     radius2 = radius * radius
     chunks: list[np.ndarray] = []

@@ -1,4 +1,4 @@
-"""All-pairs O(N^2) force evaluation — step 2 of the paper's kernel.
+"""All-pairs force evaluation — step 2 of the paper's kernel.
 
 The paper deliberately avoids pairlist construction and "calculate[s]
 the distances on the fly" (section 3.4): every time step each atom's
@@ -17,13 +17,19 @@ contribute a force and a potential-energy term.  This module provides
 All of them return a :class:`ForceResult` carrying the accelerations,
 the potential energy and the interacting-pair count that the device
 cost models consume; the vectorized ones share the LJ arithmetic of
-:func:`_lj_terms`.
+:func:`_lj_terms`.  ``pairs_examined`` counts the *modelled* algorithm,
+n(n-1)/2 distances for the all-pairs kernels, not the host's work.
 
 :func:`pair_block` sums each row over its columns strictly in column
 order, and every column outside the cutoff adds an exact ``±0.0``.  So
-a row evaluated against any sorted superset of its cutoff partners —
-all atoms, or a cluster node's owned + ghost set — is bitwise the same
-whatever the block size (:mod:`repro.cluster.forces` relies on it).
+a row evaluated against any sorted superset of its cutoff partners
+that holds the row itself (whose ``+0.0`` fixes the sign of an
+all-zero sum) is bitwise the same whatever the block size.  The host
+therefore scans each row only against the columns in the 27 cells
+around its own, on a grid of cells a little wider than the cutoff: O(N)
+work for :func:`compute_forces` and for a cluster node's owned rows
+against its owned + ghost columns (:mod:`repro.cluster.forces`), with
+results bitwise equal to scanning every column.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import dataclasses
 import numpy as np
 
 from repro.md.box import IMAGE_OFFSETS, PeriodicBox
+from repro.md.cells import CellGrid, cells_per_side
 from repro.md.lj import LennardJones
 
 __all__ = [
@@ -46,6 +53,11 @@ __all__ = [
 #: Row-block size of :func:`pair_block`, the ``md.block`` default: at
 #: N = 2048 each float64 ``(n_cols, block)`` pair array is 2 MB.
 _DEFAULT_BLOCK = 128
+
+#: Width of :func:`pair_block`'s cells beyond ``rcut``, in units of the
+#: kernel dtype's epsilon times the largest coordinate or box length.
+#: The float32 minimum image is off by at most about ten such units.
+_CELL_MARGIN_ULPS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,8 +75,9 @@ class ForceResult:
         Number of unordered pairs inside the cutoff — the quantity that
         drives the "interacting" branch of every device cost model.
     pairs_examined:
-        Number of unordered pairs whose distance was computed,
-        ``n * (n - 1) / 2`` for the all-pairs kernels.
+        Number of unordered pairs whose distance the modelled algorithm
+        computes: ``n * (n - 1) / 2`` for the all-pairs kernels, however
+        few of them the host evaluates.
     """
 
     accelerations: np.ndarray
@@ -157,17 +170,95 @@ def pair_block(
     ``rows`` interacting with atoms ``cols`` (sorted global indices,
     ``rows ⊆ cols``; ``positions`` holds all atoms, float64).
 
-    Structure-of-arrays layout: one vector per coordinate, pair arrays
-    ``(n_cols, block_rows)`` in scratch reused across row blocks.
+    Each row is scanned only against its candidate columns: the members
+    of ``cols`` in the 27 cells around its own on a grid of cells wider
+    than the cutoff (:func:`_candidate_grid`).  Those hold every cutoff
+    partner, so every row is bitwise what a scan of all of ``cols``
+    gives (see the module docstring).  All of ``cols`` is scanned only
+    when no such grid applies.
     """
     dtype = np.dtype(dtype)
-    length = dtype.type(box.length)
-    rcut2 = dtype.type(potential.rcut2)
     # Cast the *global* array, then gather: the cast is elementwise, so
     # every row is rounded the same whatever subset it is gathered into.
     pos = positions.astype(dtype)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
+    grid = _candidate_grid(pos, box, potential)
+    if grid is None:
+        return _scan_columns(pos, rows, cols, box, potential, block)
+
+    acc = np.empty((rows.shape[0], 3), dtype=dtype)
+    pe_rows = np.empty(rows.shape[0], dtype=dtype)
+    row_interacting = np.empty(rows.shape[0], dtype=np.int64)
+    row_order, row_bounds = grid.sort(grid.assign(positions[rows]))
+    col_order, col_bounds = grid.sort(grid.assign(positions[cols]))
+    cols_by_cell = cols[col_order]
+    col_bounds = col_bounds.tolist()
+    for cell in np.flatnonzero(np.diff(row_bounds)).tolist():
+        # rows is sorted, so the stable sort keeps each cell's rows sorted.
+        slots = row_order[row_bounds[cell] : row_bounds[cell + 1]]
+        candidates = np.sort(
+            np.concatenate(
+                [
+                    cols_by_cell[col_bounds[k] : col_bounds[k + 1]]
+                    for k in grid.neighbors[cell].tolist()
+                ]
+            )
+        )
+        acc[slots], pe_rows[slots], row_interacting[slots] = _scan_columns(
+            pos, rows[slots], candidates, box, potential, block
+        )
+    return acc, pe_rows, row_interacting
+
+
+def _candidate_grid(
+    pos: np.ndarray, box: PeriodicBox, potential: LennardJones
+) -> CellGrid | None:
+    """The cell grid :func:`pair_block` draws candidate columns from, or
+    None when it must scan every column.
+
+    The cells are wider than ``rcut`` by a margin covering the rounding
+    of the minimum image in ``pos``'s dtype (``_CELL_MARGIN_ULPS`` ulps
+    of the largest coordinate or of the box length), so that no pair the
+    kernel finds within the cutoff lies two cells apart.  Binning at ``rcut + skin``
+    instead would cost whole cells per axis.
+
+    There is no grid when the box holds fewer than 3 cells per axis
+    (their 27 neighbours would repeat), or when a coordinate is not
+    finite: a scan of all columns spreads one NaN to every row, and
+    candidate sets would not.  At exactly 3 cells per axis the 27
+    neighbours of every cell are the whole box, so every candidate set
+    is all of ``cols`` and one scan of it serves every row at once.
+    """
+    if pos.size == 0:
+        return None
+    scale = float(np.abs(pos).max())
+    if not np.isfinite(scale):
+        return None
+    margin = _CELL_MARGIN_ULPS * float(np.finfo(pos.dtype).eps) * max(scale, box.length)
+    radius = potential.rcut + margin
+    if cells_per_side(box, radius) < 4:
+        return None
+    return CellGrid(box, radius)
+
+
+def _scan_columns(
+    pos: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    box: PeriodicBox,
+    potential: LennardJones,
+    block: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row kernel of :func:`pair_block`: every row against every
+    column of ``cols``, in ``pos``'s dtype (``pos`` already cast).
+
+    Structure-of-arrays layout: one vector per coordinate, pair arrays
+    ``(n_cols, block_rows)`` in scratch reused across row blocks.
+    """
+    dtype = pos.dtype
+    length = dtype.type(box.length)
+    rcut2 = dtype.type(potential.rcut2)
     n_rows, n_cols = rows.shape[0], cols.shape[0]
     row_xyz = np.ascontiguousarray(pos[rows].T)
     col_xyz = np.ascontiguousarray(pos[cols].T)
@@ -267,7 +358,8 @@ def compute_forces(
         the NumPy level.
     block:
         Row-block size; bounds the transient working set to a few
-        ``block * n`` pair arrays.  The result does not depend on it.
+        ``block * n_cols`` pair arrays, ``n_cols`` the columns a row
+        is scanned against.  The result does not depend on it.
     """
     positions64 = _validate(positions, box, potential)
     n = positions64.shape[0]

@@ -585,11 +585,16 @@ class Service:
         await self._settle(job, STATUS_QUARANTINED, detail=detail)
 
     async def requeue_after_preempt(self, job: ServiceJob, detail: str) -> None:
-        """Put a watchdog-preempted job back in line (bounded attempts)."""
+        """Put a watchdog-preempted job back in line (bounded attempts).
+
+        The hung attempt's heartbeat goes with it: left in place, its
+        old mtime would make the next attempt look hung from its start.
+        """
         job.status = STATUS_QUEUED
         job.started_unix = None
         job.cancel_event = None
         job.preempt_reason = None
+        self._discard_heartbeat(job)
         self.counters.add("service.supervisor.requeued", 1)
         self.counters.add("service.queue.enqueued", 1)
         self._journal_transition(job, detail=detail)

@@ -146,31 +146,11 @@ def _probe_mta(scenario: TuneScenario, quick: bool, repeats: int):
     return steps / seconds, seconds, _drift(result.records)
 
 
-def _probe_vm(scenario: TuneScenario, quick: bool, repeats: int):
-    from repro.cell.kernels import build_spe_timestep_kernel, timestep_constants
-    from repro.md.lj import LennardJones
-    from repro.vm.bench import BOX_LENGTH, timestep_env
-    from repro.vm.machine import Machine
-
-    replicas = scenario.probe_steps(quick)
-    rows = scenario.size(quick)
-    program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
-    constants = timestep_constants(LennardJones(), dt=0.005)
-    machine = Machine(width=4, dtype=np.float32)  # backend: tuned vm.exec
-    env = timestep_env(machine, replicas * rows, constants)
-    seconds, _ = _best_wall(
-        lambda: machine.run_program(program, dict(env), replicas=replicas),
-        repeats,
-    )
-    return replicas / seconds, seconds, 0.0
-
-
 _WORKLOADS: dict[str, Callable[[TuneScenario, bool, int], tuple[float, float, float]]] = {
     "table1-opteron": _probe_opteron,
     "table1-cell": _probe_cell,
     "tunesweep-gpu": _probe_gpu,
     "tunesweep-mta": _probe_mta,
-    "tunesweep-vm": _probe_vm,
 }
 
 SCENARIOS: tuple[TuneScenario, ...] = (
@@ -209,16 +189,6 @@ SCENARIOS: tuple[TuneScenario, ...] = (
         objective="sim",
         metric="steps",
         n=128, quick_n=128, steps=2, quick_steps=1,
-    ),
-    TuneScenario(
-        # steps doubles as the replica count for the VM scenario
-        scenario_id="tunesweep-vm",
-        experiment_id="tunesweep",
-        device="vm",
-        knobs=("vm.exec",),
-        objective="wall",
-        metric="replicas",
-        n=256, quick_n=64, steps=8, quick_steps=4,
     ),
 )
 

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.md.box import PeriodicBox
+from repro.md.cells import CellGrid, cells_per_side
 from repro.md.celllist import (
-    CellGrid,
     CellList,
     CellListForceBackend,
     build_pairs_cells,
-    cells_per_side,
 )
 from repro.md.forces import compute_forces
 from repro.md.lattice import cubic_lattice

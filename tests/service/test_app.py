@@ -238,8 +238,11 @@ class TestCancel:
         run(scenario())
 
     def test_cancel_running_job_is_cooperative(self, tmp_path):
+        release = tmp_path / "release"
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=1.0)}
+            specs = {"nap": stub_spec("nap", "napping_job", seconds=1.0,
+                                      release_path=str(release))}
             async with running_service(str(tmp_path), specs=specs) as svc:
                 client = ServiceClient(port=svc.port)
                 doc = await call(client.submit, "nap")
@@ -251,6 +254,8 @@ class TestCancel:
                 out = await call(client.cancel, doc["id"])
                 assert out["cancelled"] is False
                 assert out["cancel_requested"] is True
+                # the nap ends now; its result must still be discarded
+                release.touch()
                 final = await call(client.wait, doc["id"], 60)
                 assert final["status"] == "cancelled"
                 # the discarded attempt must not have seeded the cache

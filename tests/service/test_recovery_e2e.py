@@ -54,10 +54,16 @@ async def crash(service: Service) -> None:
 
 
 def batch_specs(tmp_path):
-    """2 slow jobs (to be caught in flight) + 8 distinct quick ones."""
+    """2 slow jobs (to be caught in flight) + 8 distinct quick ones.
+
+    The slow jobs nap until ``tmp_path / "release"`` exists (at most
+    3 s); the test creates it once the crash has caught them running.
+    """
+    release = str(tmp_path / "release")
     specs = {
         f"slow{i}": stub_spec(
-            f"slow{i}", "napping_job", seconds=3.0, value=100.0 + i
+            f"slow{i}", "napping_job", seconds=3.0, value=100.0 + i,
+            release_path=release,
         )
         for i in range(2)
     }
@@ -115,6 +121,8 @@ class TestCrashRecovery:
             statuses = {
                 name: service.jobs[jid].status for name, jid in ids.items()
             }
+            # the crash terminated the naps; their reruns need not nap
+            (tmp_path / "release").touch()
             return ids, statuses
 
         async def recovered_boot(ids):

@@ -282,6 +282,55 @@ class TestWatchdog:
         # a pass over an already-preempting job is a no-op
         assert service.supervisor.scan() == []
 
+    def test_requeued_job_is_not_judged_by_the_hung_attempts_beat(
+        self, tmp_path
+    ):
+        """Between the requeue and the new attempt's first beat the
+        watchdog measures from the new start, not from the frozen
+        attempt's last heartbeat."""
+        import os
+        import threading
+
+        from repro.service.app import Service, ServiceConfig
+        from repro.service.models import ServiceJob
+
+        config = ServiceConfig(
+            runs_dir=str(tmp_path / "runs"), hang_seconds=5.0, journal=False
+        )
+        service = Service(config, specs={})
+        started = time.time() - 60.0
+        job = ServiceJob(
+            job_id="job-requeued",
+            tenant="t",
+            priority=10,
+            experiment_id="x",
+            payload={"job_id": "job-requeued", "params": {}},
+            cache_key="k",
+            status="running",
+            started_unix=started,
+            cancel_event=threading.Event(),
+        )
+        service.jobs[job.job_id] = job
+        hb = service.heartbeat_path(job.job_id)
+        hb.parent.mkdir(parents=True, exist_ok=True)
+        hb.touch()
+        os.utime(hb, (started + 1.0, started + 1.0))  # its last beat
+        assert service.supervisor.scan(now_unix=started + 30.0) == [job.job_id]
+
+        async def requeue_and_restart():
+            await service.requeue_after_preempt(job, detail="requeue 1/3")
+            await service.queue.get()
+            await service.mark_running(job)
+
+        run(requeue_and_restart())
+        job.cancel_event = threading.Event()  # the new attempt's
+        restarted = job.started_unix
+        assert service.supervisor.scan(now_unix=restarted + 1.0) == []
+        # with no beat at all the new attempt still hangs in the end
+        assert service.supervisor.scan(now_unix=restarted + 6.0) == [
+            job.job_id
+        ]
+
     def test_scan_prefers_deadline_over_hang(self, tmp_path):
         import threading
 

@@ -25,36 +25,40 @@ from repro.tune.search import (
     tune_scenario,
     tune_scenarios,
 )
+from repro.tune.spec import tunable
 
 CODE_FP = "feedc0de" * 8
-VM = scenario_for("tunesweep-vm")
+MTA = scenario_for("tunesweep-mta")
+STREAMS = tunable("mta.streams").candidates
+#: the defaults plus one probe per stream count
+PROBES = 1 + len(STREAMS)
 
 
-def exec_speed_measure(values):
-    """Deterministic: compiled 9x, interp 3x, defaults 1x."""
-    speed = {"compiled": 900.0, "interp": 300.0}.get(
-        values.get("vm/vm.exec"), 100.0
-    )
+def streams_measure(values):
+    """Deterministic: 16 streams 9x, any other explicit count 3x,
+    defaults 1x."""
+    streams = values.get("mta/mta.streams")
+    speed = 100.0 if streams is None else 900.0 if streams == 16 else 300.0
     return speed, 1.0 / speed, 0.0
 
 
 class TestCandidates:
     def test_defaults_first_then_full_grid(self):
-        cands = candidates_for(VM, budget=16, key="ab" * 32)
+        cands = candidates_for(MTA, budget=16, key="ab" * 32)
         assert cands[0] == {}
-        assert {"vm/vm.exec": "interp"} in cands
-        assert {"vm/vm.exec": "compiled"} in cands
-        assert len(cands) == 3
+        for streams in STREAMS:
+            assert {"mta/mta.streams": streams} in cands
+        assert len(cands) == PROBES
 
     def test_deterministic_subsample_under_budget(self):
         key = "cd" * 32
-        a = candidates_for(VM, budget=2, key=key)
-        b = candidates_for(VM, budget=2, key=key)
+        a = candidates_for(MTA, budget=2, key=key)
+        b = candidates_for(MTA, budget=2, key=key)
         assert a == b  # same key + budget => same candidate list
         assert a[0] == {} and len(a) == 2
 
     def test_zero_budget_admits_nothing(self):
-        assert candidates_for(VM, budget=0, key="ef" * 32) == []
+        assert candidates_for(MTA, budget=0, key="ef" * 32) == []
 
     def test_multi_knob_scenario_takes_the_cartesian_product(self):
         cell = scenario_for("table1-cell")
@@ -64,30 +68,36 @@ class TestCandidates:
         assert len(cands) == 1 + len(blocks) * len(parts)
         assert "cyclic" in parts and "block" in parts
 
+    def test_vm_exec_has_no_scenario(self):
+        """The drivers default to compiled and interp is slower, so a
+        vm.exec search has nothing to win."""
+        with pytest.raises(KeyError):
+            scenario_for("tunesweep-vm")
+
 
 class TestSearch:
     def test_adopts_the_fastest_candidate(self, tmp_path):
         outcome = tune_scenario(
-            "tunesweep-vm", quick=True, store=TunedStore(tmp_path),
-            code_fingerprint=CODE_FP, measure=exec_speed_measure,
+            "tunesweep-mta", quick=True, store=TunedStore(tmp_path),
+            code_fingerprint=CODE_FP, measure=streams_measure,
         )
         art = outcome.artifact
         assert not outcome.cached
-        assert outcome.probes_run == 3
+        assert outcome.probes_run == PROBES
         assert art.source == SOURCE_SEARCH
-        assert art.values == {"vm/vm.exec": "compiled"}
+        assert art.values == {"mta/mta.streams": 16}
         assert art.speedup == pytest.approx(9.0)
-        assert len(art.trials) == 3
+        assert len(art.trials) == PROBES
 
     def test_same_measure_twice_is_the_same_winner(self, tmp_path):
         kwargs = dict(
-            quick=True, code_fingerprint=CODE_FP, measure=exec_speed_measure,
+            quick=True, code_fingerprint=CODE_FP, measure=streams_measure,
         )
         a = tune_scenario(
-            "tunesweep-vm", store=TunedStore(tmp_path / "a"), **kwargs
+            "tunesweep-mta", store=TunedStore(tmp_path / "a"), **kwargs
         ).artifact
         b = tune_scenario(
-            "tunesweep-vm", store=TunedStore(tmp_path / "b"), **kwargs
+            "tunesweep-mta", store=TunedStore(tmp_path / "b"), **kwargs
         ).artifact
         assert a.key == b.key
         assert a.values == b.values
@@ -101,7 +111,7 @@ class TestSearch:
 
         assert MIN_GAIN > 0.01
         art = tune_scenario(
-            "tunesweep-vm", quick=True, store=TunedStore(tmp_path),
+            "tunesweep-mta", quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP, measure=barely_faster,
         ).artifact
         assert art.source == SOURCE_SEARCH
@@ -114,13 +124,13 @@ class TestSearch:
             quick=True, store=store, code_fingerprint=CODE_FP,
         )
         first = tune_scenario(
-            "tunesweep-vm", measure=exec_speed_measure, **kwargs
+            "tunesweep-mta", measure=streams_measure, **kwargs
         )
 
         def exploding(values):
             raise AssertionError("cached search must run zero probes")
 
-        second = tune_scenario("tunesweep-vm", measure=exploding, **kwargs)
+        second = tune_scenario("tunesweep-mta", measure=exploding, **kwargs)
         assert second.cached and second.probes_run == 0
         assert second.artifact == first.artifact
 
@@ -128,19 +138,19 @@ class TestSearch:
         store = TunedStore(tmp_path)
         kwargs = dict(
             quick=True, store=store, code_fingerprint=CODE_FP,
-            measure=exec_speed_measure,
+            measure=streams_measure,
         )
-        tune_scenario("tunesweep-vm", **kwargs)
-        again = tune_scenario("tunesweep-vm", force=True, **kwargs)
-        assert not again.cached and again.probes_run == 3
+        tune_scenario("tunesweep-mta", **kwargs)
+        again = tune_scenario("tunesweep-mta", force=True, **kwargs)
+        assert not again.cached and again.probes_run == PROBES
 
 
 class TestFallbacks:
     def test_zero_budget_degrades_to_defaults(self, tmp_path):
         art = tune_scenario(
-            "tunesweep-vm", quick=True, budget=0,
+            "tunesweep-mta", quick=True, budget=0,
             store=TunedStore(tmp_path), code_fingerprint=CODE_FP,
-            measure=exec_speed_measure,
+            measure=streams_measure,
         ).artifact
         assert art.source == SOURCE_BUDGET_EXHAUSTED
         assert art.values == {}
@@ -152,13 +162,13 @@ class TestFallbacks:
 
         store = TunedStore(tmp_path)
         outcome = tune_scenario(
-            "tunesweep-vm", quick=True, store=store,
+            "tunesweep-mta", quick=True, store=store,
             code_fingerprint=CODE_FP, measure=always_fails,
         )
         art = outcome.artifact
         assert art.source == SOURCE_PROBE_FAILED
         assert art.values == {}
-        assert outcome.probes_run == 3  # every probe was attempted
+        assert outcome.probes_run == PROBES  # every probe was attempted
         assert all(not t["ok"] for t in art.trials)
         # the fallback is persisted: the next call is a cache hit
         assert store.load(art.key) is not None
@@ -167,23 +177,24 @@ class TestFallbacks:
         store = TunedStore(tmp_path)
         kwargs = dict(
             quick=True, budget=0, store=store, code_fingerprint=CODE_FP,
-            measure=exec_speed_measure,
+            measure=streams_measure,
         )
-        tune_scenario("tunesweep-vm", **kwargs)
-        assert tune_scenario("tunesweep-vm", **kwargs).cached
+        tune_scenario("tunesweep-mta", **kwargs)
+        assert tune_scenario("tunesweep-mta", **kwargs).cached
 
 
 class TestTuneScenarios:
     def test_filters_to_named_scenarios(self, tmp_path):
         outcomes = tune_scenarios(
-            ["tunesweep-vm"], quick=True, store=TunedStore(tmp_path),
+            ["tunesweep-mta"], quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP,
         )
         # injected measure is per-scenario only via tune_scenario, so
         # this goes through the real probe path — keep it to the fast
-        # VM scenario and just assert the shape of the outcome map
-        assert list(outcomes) == ["tunesweep-vm"]
-        assert outcomes["tunesweep-vm"].artifact.scenario_id == "tunesweep-vm"
+        # simulated-time MTA scenario and just assert the shape of the
+        # outcome map
+        assert list(outcomes) == ["tunesweep-mta"]
+        assert outcomes["tunesweep-mta"].artifact.scenario_id == "tunesweep-mta"
 
     def test_unknown_scenario_raises(self, tmp_path):
         with pytest.raises(KeyError):
@@ -197,12 +208,12 @@ class TestCounters:
     def test_search_charges_tune_counters(self, tmp_path):
         with collect() as session:
             tune_scenario(
-                "tunesweep-vm", quick=True, store=TunedStore(tmp_path),
-                code_fingerprint=CODE_FP, measure=exec_speed_measure,
+                "tunesweep-mta", quick=True, store=TunedStore(tmp_path),
+                code_fingerprint=CODE_FP, measure=streams_measure,
             )
         counters = session.merged_counters()
         assert counters["tune/tune.scenarios"] == 1
-        assert counters["tune/tune.probes"] == 3
+        assert counters["tune/tune.probes"] == PROBES
         assert counters["tune/tune.adopted"] == 1
         assert counters["tune/tune.seconds"] > 0.0
 
@@ -210,11 +221,11 @@ class TestCounters:
         store = TunedStore(tmp_path)
         kwargs = dict(
             quick=True, store=store, code_fingerprint=CODE_FP,
-            measure=exec_speed_measure,
+            measure=streams_measure,
         )
-        tune_scenario("tunesweep-vm", **kwargs)
+        tune_scenario("tunesweep-mta", **kwargs)
         with collect() as session:
-            tune_scenario("tunesweep-vm", **kwargs)
+            tune_scenario("tunesweep-mta", **kwargs)
         counters = session.merged_counters()
         assert counters["tune/tune.cache_hits"] == 1
         assert "tune/tune.probes" not in counters
